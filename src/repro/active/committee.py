@@ -46,6 +46,18 @@ class CommitteeQueryStrategy:
         self.seed = int(seed)
         self._round = 0
 
+    def snapshot_state(self) -> dict:
+        """The round counter that seeds each round's bootstrap draws.
+
+        Checkpointed by the active loop, so a resumed run draws the
+        same committees as an uninterrupted one.
+        """
+        return {"round": self._round}
+
+    def restore_state(self, state: dict) -> None:
+        """Restore a :meth:`snapshot_state` payload."""
+        self._round = int(state["round"])
+
     def select(
         self,
         pairs: Sequence[LinkPair],

@@ -48,7 +48,7 @@ from repro.core.itermpmd import AlternatingState, IterMPMD
 from repro.engine.streaming import StreamedAlignmentTask
 from repro.exceptions import ModelError
 from repro.meta.features import FeatureExtractor
-from repro.ml.backends import DenseBlockSource
+from repro.ml.backends import as_block_source
 from repro.networks.aligned import NetworkDelta
 from repro.obs.tracing import get_tracer
 from repro.store.checkpoint import SessionCheckpoint
@@ -109,10 +109,11 @@ class ActiveIter(IterMPMD):
     backend:
         Model backend of the per-round fit (see
         :class:`~repro.core.itermpmd.IterMPMD` and
-        :mod:`repro.ml.backends`); ``None`` keeps the paper's ridge.
-        Backend state — dual coefficients, a fitted map's landmark
-        sample and statistics — rides every checkpoint save, so a
-        resumed run is byte-identical for non-ridge models too.
+        :mod:`repro.ml.backends`); ``None`` resolves to the paper's
+        ridge (:class:`~repro.ml.backends.RidgeBackend`).  Backend
+        state — dual coefficients, a fitted map's landmark sample and
+        statistics — rides every checkpoint save, so a resumed run is
+        byte-identical for every model.
     """
 
     def __init__(
@@ -191,21 +192,9 @@ class ActiveIter(IterMPMD):
         payload = self.checkpoint.restore(session)
         self.oracle.restore(payload["oracle"])
         # Backend state (absent on pre-backend checkpoints) is injected
-        # when the backend instance is first resolved, before round one.
+        # when the backend instance is first resolved, before round one;
+        # a state of another backend kind is rejected there.
         self._pending_backend_state = payload.get("backend")
-        if self._pending_backend_state is not None and self.backend is None:
-            # backend=None still resolves the default ridge backend on
-            # streamed fits, so ridge state is consumable (and the dense
-            # path's from-scratch ridge refit matches it bit-for-bit);
-            # any other kind would be silently dropped on the legacy
-            # path and the resumed trajectory would diverge.
-            kind = self._pending_backend_state.get("kind", "?")
-            if kind != "ridge":
-                raise ModelError(
-                    f"checkpoint carries {kind!r} backend state but this "
-                    "run has no backend configured; resume with the same "
-                    "model the run was started with"
-                )
         strategy_state = payload.get("strategy_state")
         if strategy_state is not None:
             if not hasattr(self.strategy, "restore_state"):
@@ -305,15 +294,28 @@ class ActiveIter(IterMPMD):
                 return applied
         return 0
 
+    def _rewrite_features(self, task) -> None:
+        """Bring a materialized task's ``X`` up to date with the session.
+
+        An incremental session rewrites only the dirty feature columns
+        in place; any other session re-extracts the whole matrix.
+        Streamed tasks need nothing — the next block pass extracts
+        against the current session state.
+        """
+        if isinstance(task, StreamedAlignmentTask):
+            return
+        if self.session.incremental:
+            self.session.refresh_features(task.X, task.pairs)
+        else:
+            task.X = self.session.extract(task.pairs)
+
     def _apply_due_evolution(
         self, task, n_rounds: int, position: int
     ) -> int:
         """Apply every scheduled delta due by ``n_rounds``; new position.
 
-        Materialized tasks get their dirty feature columns rewritten in
-        place (or fully re-extracted on a non-incremental session);
-        streamed tasks need nothing — the next block pass extracts
-        against the evolved session.
+        The task's features follow the evolved session through
+        :meth:`_rewrite_features`.
         """
         applied = False
         epoch_before = getattr(self.session, "compaction_epoch", 0)
@@ -333,25 +335,35 @@ class ActiveIter(IterMPMD):
             # into this session (older compaction epoch); drop them so
             # the checkpoint chain shrinks with the compacted state.
             self.checkpoint.prune_history()
-        if applied and not isinstance(task, StreamedAlignmentTask):
-            if self.session.incremental:
-                self.session.refresh_features(task.X, task.pairs)
-            else:
-                task.X = self.session.extract(task.pairs)
+        if applied:
+            self._rewrite_features(task)
         return position
 
     # ------------------------------------------------------------------
     def fit(self, task: AlignmentTask) -> "ActiveIter":
         """Fit with active label queries until the budget is spent.
 
-        A :class:`~repro.engine.streaming.StreamedAlignmentTask` is
-        dispatched to :meth:`fit_streamed`.
+        A materialized task and a
+        :class:`~repro.engine.streaming.StreamedAlignmentTask` run the
+        same round loop over :func:`~repro.ml.backends.as_block_source`
+        (the dense matrix is the trivial one-block stream).  A streamed
+        task differs in three places: the model's session, if any, must
+        be the task's own; the query strategy consumes
+        :class:`~repro.active.strategies.ScoredBlock` slices via
+        ``select_streamed`` when it offers one; and there is no feature
+        matrix to rewrite after a refresh, an evolution event or a
+        resume — the next block pass extracts against the current
+        session state.
         """
-        if isinstance(task, StreamedAlignmentTask):
-            return self.fit_streamed(task)
+        streamed = isinstance(task, StreamedAlignmentTask)
+        session = task.session if streamed else self.session
+        if self.session is not None and self.session is not session:
+            raise ModelError(
+                "the model's session must be the streamed task's session"
+            )
         self.task_ = task
 
-        resume = self._resume_payload(self.session)
+        resume = self._resume_payload(session)
         if resume is not None:
             clamped_indices = np.asarray(resume["clamped_indices"])
             clamped_values = np.asarray(resume["clamped_values"])
@@ -359,11 +371,11 @@ class ActiveIter(IterMPMD):
             trace = list(resume["trace"])
             y = np.asarray(resume["y"], dtype=np.float64)
             n_rounds = int(resume["n_rounds"])
-            if self.refresh_features:
+            if self.refresh_features and not streamed:
                 # The restored session carries the checkpoint's anchor
                 # state; a fresh extraction over it is byte-identical to
                 # the in-place-refreshed matrix of the original run.
-                task.X = self.session.extract(task.pairs)
+                task.X = session.extract(task.pairs)
         else:
             clamped_indices = task.labeled_indices.copy()
             clamped_values = task.labeled_values.copy()
@@ -373,171 +385,19 @@ class ActiveIter(IterMPMD):
             n_rounds = 0
         evolution_position = self._evolution_start(resume)
         state = AlternatingState.from_task(task, clamped_indices, clamped_values)
-        # A non-default backend fits through the block seam even on the
-        # materialized task (one-block stream over the live task.X).
-        dense_source = (
-            DenseBlockSource(task) if self.backend is not None else None
-        )
+        source = as_block_source(task)
         tracer = get_tracer()
         while True:
             n_rounds += 1
             # One span per query round, with the heavy phases as
             # children — the per-phase timing breakdown of the active
             # loop.  All of it is a no-op when tracing is disabled.
-            with tracer.span("active.round", round=n_rounds):
+            # Streamed block dispatches under ``active.alternate``
+            # inherit it as their trace parent.
+            with tracer.span("active.round", round=n_rounds, streamed=streamed):
                 with tracer.span("active.alternate"):
-                    if dense_source is not None:
-                        y, w, scores, round_trace = self._alternate_backend(
-                            dense_source, clamped_indices, clamped_values, y,
-                            state=state,
-                        )
-                    else:
-                        solver = self._make_solver(
-                            task, clamped_indices, clamped_values
-                        )
-                        y, w, scores, round_trace = self._alternate(
-                            task, solver, y, clamped_indices, clamped_values,
-                            state=state,
-                        )
-                trace.extend(round_trace)
-                if self.oracle.remaining <= 0:
-                    break
-
-                queryable = np.ones(task.n_candidates, dtype=bool)
-                queryable[clamped_indices] = False
-                with tracer.span("active.select"):
-                    picks = self.strategy.select(
-                        task.pairs,
-                        scores,
-                        y.astype(np.int64),
-                        queryable,
-                        min(self.batch_size, self.oracle.remaining),
-                    )
-                if not picks:
-                    break
-                with tracer.span("active.oracle", asked=len(picks)):
-                    answers = self.oracle.query_batch(
-                        [task.pairs[i] for i in picks]
-                    )
-                if not answers:
-                    break
-                queried.extend(answers)
-
-                answered_indices = np.array(
-                    [task.index_of(pair) for pair, _ in answers],
-                    dtype=np.int64,
-                )
-                answered_values = np.array(
-                    [label for _, label in answers], dtype=np.int64
-                )
-                clamped_indices = np.concatenate(
-                    [clamped_indices, answered_indices]
-                )
-                clamped_values = np.concatenate(
-                    [clamped_values, answered_values]
-                )
-                y[answered_indices] = answered_values
-                state.clamp(task, answered_indices, answered_values)
-
-                if self.refresh_features and any(
-                    label == 1 for _, label in answers
-                ):
-                    known_positive_pairs = [
-                        task.pairs[i]
-                        for i, value in zip(clamped_indices, clamped_values)
-                        if value == 1
-                    ]
-                    with tracer.span("active.refresh"):
-                        self.session.set_anchors(known_positive_pairs)
-                        if self.session.incremental:
-                            # Counts were delta-updated; rewrite only the
-                            # affected feature columns in place.
-                            self.session.refresh_features(task.X, task.pairs)
-                        else:
-                            # Full-recompute semantics (pre-engine behavior).
-                            task.X = self.session.extract(task.pairs)
-
-                with tracer.span("active.evolve"):
-                    evolution_position = self._apply_due_evolution(
-                        task, n_rounds, evolution_position
-                    )
-
-                with tracer.span("active.checkpoint"):
-                    self._save_checkpoint(
-                        self.session,
-                        clamped_indices,
-                        clamped_values,
-                        queried,
-                        trace,
-                        y,
-                        n_rounds,
-                        evolution_position,
-                    )
-
-        self.weights_ = w
-        self.result_ = AlignmentResult(
-            labels=y.astype(np.int64),
-            scores=scores,
-            queried=tuple(queried),
-            convergence_trace=tuple(trace),
-            n_rounds=n_rounds,
-        )
-        if self.checkpoint is not None:
-            self.checkpoint.clear()
-        return self
-
-    # ------------------------------------------------------------------
-    def fit_streamed(self, task: StreamedAlignmentTask) -> "ActiveIter":
-        """Active fit over streamed candidate blocks — no |H| x d matrix.
-
-        Mirrors :meth:`fit` round for round: the alternating engine
-        works from block-accumulated Gram systems
-        (:meth:`~repro.core.itermpmd.IterMPMD._alternate_streamed`), and
-        the query strategy consumes
-        :class:`~repro.active.strategies.ScoredBlock` slices via
-        ``select_streamed`` when it offers one (falling back to the
-        materialized ``select`` signature otherwise — scores and labels
-        are per-candidate vectors either way).  With
-        ``refresh_features=True`` queried positives are folded into the
-        task's session as sparse delta anchor updates; the next block
-        pass re-extracts against the refreshed anchor set, so there is
-        no feature matrix to rewrite.
-        """
-        if self.session is not None and self.session is not task.session:
-            raise ModelError(
-                "the model's session must be the streamed task's session"
-            )
-        self.task_ = task
-
-        resume = self._resume_payload(task.session)
-        if resume is not None:
-            clamped_indices = np.asarray(resume["clamped_indices"])
-            clamped_values = np.asarray(resume["clamped_values"])
-            queried = list(resume["queried"])
-            trace = list(resume["trace"])
-            y = np.asarray(resume["y"], dtype=np.float64)
-            n_rounds = int(resume["n_rounds"])
-            # No feature matrix to rebuild: the next block pass extracts
-            # against the restored session state.
-        else:
-            clamped_indices = task.labeled_indices.copy()
-            clamped_values = task.labeled_values.copy()
-            queried = []
-            trace = []
-            y = self._initial_labels(task, clamped_indices, clamped_values)
-            n_rounds = 0
-        evolution_position = self._evolution_start(resume)
-        state = AlternatingState.from_task(task, clamped_indices, clamped_values)
-        tracer = get_tracer()
-        while True:
-            n_rounds += 1
-            # Same per-round / per-phase span layout as :meth:`fit`,
-            # with ``streamed=True``; streamed block dispatches under
-            # ``active.alternate`` inherit it as their trace parent.
-            with tracer.span("active.round", round=n_rounds, streamed=True):
-                with tracer.span("active.alternate"):
-                    y, w, scores, round_trace = self._alternate_streamed(
-                        task, clamped_indices, clamped_values, y, state=state
+                    y, w, scores, round_trace = self._alternate_backend(
+                        source, state, clamped_indices, clamped_values, y
                     )
                 trace.extend(round_trace)
                 if self.oracle.remaining <= 0:
@@ -547,7 +407,7 @@ class ActiveIter(IterMPMD):
                 queryable[clamped_indices] = False
                 batch = min(self.batch_size, self.oracle.remaining)
                 with tracer.span("active.select"):
-                    if hasattr(self.strategy, "select_streamed"):
+                    if streamed and hasattr(self.strategy, "select_streamed"):
                         picks = self.strategy.select_streamed(
                             task.scored_blocks(
                                 scores, y.astype(np.int64), queryable
@@ -594,7 +454,8 @@ class ActiveIter(IterMPMD):
                         if value == 1
                     ]
                     with tracer.span("active.refresh"):
-                        task.session.set_anchors(known_positive_pairs)
+                        session.set_anchors(known_positive_pairs)
+                        self._rewrite_features(task)
 
                 with tracer.span("active.evolve"):
                     evolution_position = self._apply_due_evolution(
@@ -603,7 +464,7 @@ class ActiveIter(IterMPMD):
 
                 with tracer.span("active.checkpoint"):
                     self._save_checkpoint(
-                        task.session,
+                        session,
                         clamped_indices,
                         clamped_values,
                         queried,

@@ -4,8 +4,9 @@ This is the paper's Iter-MPMD baseline and, equally, the inner engine of
 ActiveIter: alternate between
 
 * **step (1-1)** — closed-form ridge ``w = c (I + c XᵀX)⁻¹ Xᵀ y`` with
-  the current label vector (solved through a prefactorized
-  :class:`~repro.ml.ridge.RidgeSolver`);
+  the current label vector, fitted through the model backend
+  (:class:`~repro.ml.backends.RidgeBackend` by default, which factorizes
+  the block-accumulated Gram system once per fit);
 * **step (1-2)** — re-infer the unlabeled labels from the scores
   ``ŷ = Xw`` with the greedy one-to-one selector, keeping known labels
   clamped.
@@ -13,26 +14,30 @@ ActiveIter: alternate between
 Iterate until the label vector stops changing (Δy = ‖yᵢ − yᵢ₋₁‖₁ below
 tolerance) or a safety cap; the per-iteration Δy values are recorded as
 the convergence trace used by Figure 3.
+
+Every task runs the same loop over
+:func:`~repro.ml.backends.as_block_source`: a materialized task is the
+trivial one-block stream, and a
+:class:`~repro.engine.streaming.StreamedAlignmentTask` streams its
+candidate blocks without ever allocating the |H| x d matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.base import AlignmentModel, AlignmentResult, AlignmentTask
-from repro.engine.streaming import StreamedAlignmentTask
 from repro.exceptions import ModelError
 from repro.matching.greedy import greedy_link_selection
 from repro.ml.backends import (
-    DenseBlockSource,
     ModelBackend,
     RidgeBackend,
+    as_block_source,
     make_backend,
 )
-from repro.ml.ridge import RidgeSolver
 from repro.types import LinkPair, NodeId
 
 
@@ -119,14 +124,14 @@ class IterMPMD(AlignmentModel):
         paper's unweighted objective.
     backend:
         Model backend of the internal fit step (see
-        :mod:`repro.ml.backends`): ``None`` (the default) keeps the
-        paper's closed-form ridge and is byte-identical to the
-        pre-backend code; a name (``"ridge"``, ``"svm"``) or a
+        :mod:`repro.ml.backends`): ``None`` (the default) resolves to
+        :class:`~repro.ml.backends.RidgeBackend`, the paper's
+        closed-form ridge; a name (``"ridge"``, ``"svm"``) or a
         :class:`~repro.ml.backends.ModelBackend` instance swaps the
-        model — the alternating loop, the streamed block plumbing and
-        the greedy relabeling are unchanged.  Backends score on their
-        own scale (an SVM's decision boundary is 0, not 0.5), so pair a
-        non-ridge backend with a matching ``positive_threshold``.
+        model — the alternating loop, the block plumbing and the greedy
+        relabeling are unchanged.  Backends score on their own scale
+        (an SVM's decision boundary is 0, not 0.5), so pair a non-ridge
+        backend with a matching ``positive_threshold``.
     """
 
     def __init__(
@@ -218,124 +223,24 @@ class IterMPMD(AlignmentModel):
         sample_weight[positives] = weight
         return sample_weight
 
-    def _make_solver(
-        self,
-        task: AlignmentTask,
-        clamped_indices: np.ndarray,
-        clamped_values: np.ndarray,
-    ) -> RidgeSolver:
-        """Build the ridge solver with positives up-weighted."""
-        sample_weight = self._sample_weight(
-            task.n_candidates, clamped_indices, clamped_values
-        )
-        if sample_weight is None:
-            return RidgeSolver(task.X, c=self.c)
-        return RidgeSolver(task.X, c=self.c, sample_weight=sample_weight)
-
     # ------------------------------------------------------------------
     # Core alternating loop, reused by ActiveIter.
     # ------------------------------------------------------------------
-    def _alternate(
-        self,
-        task: AlignmentTask,
-        solver: RidgeSolver,
-        y: np.ndarray,
-        clamped_indices: np.ndarray,
-        clamped_values: np.ndarray,
-        state: Optional[AlternatingState] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
-        """Run (1-1)/(1-2) to convergence from the given label vector.
-
-        ``state`` carries the hoisted free/blocked invariants; passing
-        one (as the active loop does) skips their per-fit rebuild.
-        Returns ``(y, w, scores, trace)``.
-        """
-        if state is None:
-            state = AlternatingState.from_task(
-                task, clamped_indices, clamped_values
-            )
-        return self._alternation_loop(
-            state,
-            y,
-            solve=solver.solve,
-            score=lambda w: task.X @ w,
-        )
-
-    def _alternation_loop(
-        self,
-        state: AlternatingState,
-        y: np.ndarray,
-        solve: Callable[[np.ndarray], np.ndarray],
-        score: Callable[[np.ndarray], np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
-        """The (1-1)/(1-2) loop, parameterized over solve/score backends.
-
-        The materialized path passes the prefactorized
-        :class:`~repro.ml.ridge.RidgeSolver` and a dense ``X @ w``; the
-        streamed path passes Gram-solver closures that re-extract
-        feature blocks per pass.  The loop itself — and therefore every
-        label decision — is identical.
-        """
-        free_indices = state.free_indices
-        free_pairs = state.free_pairs
-
-        trace: List[float] = []
-        w = solve(y)
-        scores = score(w)
-        for _ in range(self.max_iterations):
-            free_labels = greedy_link_selection(
-                free_pairs,
-                scores[free_indices],
-                threshold=self.positive_threshold,
-                blocked_left=state.blocked_left,
-                blocked_right=state.blocked_right,
-            )
-            new_y = y.copy()
-            new_y[free_indices] = free_labels
-            delta = float(np.abs(new_y - y).sum())
-            trace.append(delta)
-            y = new_y
-            w = solve(y)
-            scores = score(w)
-            if delta <= self.tol:
-                break
-        return y, w, scores, trace
-
-    def _alternate_streamed(
-        self,
-        task: StreamedAlignmentTask,
-        clamped_indices: np.ndarray,
-        clamped_values: np.ndarray,
-        y: np.ndarray,
-        state: Optional[AlternatingState] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
-        """Run the alternating loop over streamed feature blocks.
-
-        The fit step goes through the model backend
-        (:mod:`repro.ml.backends`): the default ridge backend works
-        from the block-accumulated Gram matrix ``XᵀΩX`` (factorized
-        once per call) and a block-accumulated right-hand side ``XᵀΩy``
-        per solve, scoring ``Xw`` block by block — byte-identical to
-        the pre-backend hardwired path.  Other backends (streamed SVM,
-        kernel-mapped solvers) plug into the very same loop.  No
-        |H| x d matrix is ever allocated.
-        """
-        return self._alternate_backend(
-            task, clamped_indices, clamped_values, y, state=state
-        )
-
     def _alternate_backend(
         self,
         source,
+        state: AlternatingState,
         clamped_indices: np.ndarray,
         clamped_values: np.ndarray,
         y: np.ndarray,
-        state: Optional[AlternatingState] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
-        """Alternating loop over any block source, through the backend.
+        """Run (1-1)/(1-2) to convergence from the given label vector.
 
-        ``source`` is a :class:`~repro.engine.streaming.StreamedAlignmentTask`
-        or a :class:`~repro.ml.backends.DenseBlockSource`-wrapped task.
+        ``source`` is the task as a block source (see
+        :func:`~repro.ml.backends.as_block_source`); ``state`` carries
+        the free/blocked invariants built from the task, which the
+        active loop narrows between rounds instead of rebuilding.
+        Step (1-1) is the backend's ``fit``/``scores`` pair.
         ``"labeled"`` backends (SVM) receive the clamped set as their
         training rows — the supervised semantics of the paper's SVM
         baselines inside the query loop; ``"all"`` backends (ridge)
@@ -343,12 +248,9 @@ class IterMPMD(AlignmentModel):
         ``"pu"`` backends (the biased all-of-H SVM) also receive the
         clamped set — it marks the rows holding full cost ``C`` — but
         train on every candidate row, so their positive balance is
-        computed against |H| like ridge's.
+        computed against |H| like ridge's.  Returns
+        ``(y, w, scores, trace)``.
         """
-        if state is None:
-            state = AlternatingState.from_task(
-                source, clamped_indices, clamped_values
-            )
         backend = self._resolved_backend()
         train_indices = (
             clamped_indices
@@ -372,9 +274,28 @@ class IterMPMD(AlignmentModel):
         backend.begin(
             source, sample_weight=sample_weight, train_indices=train_indices
         )
-        return self._alternation_loop(
-            state, y, solve=backend.fit, score=backend.scores
-        )
+
+        trace: List[float] = []
+        w = backend.fit(y)
+        scores = backend.scores(w)
+        for _ in range(self.max_iterations):
+            free_labels = greedy_link_selection(
+                state.free_pairs,
+                scores[state.free_indices],
+                threshold=self.positive_threshold,
+                blocked_left=state.blocked_left,
+                blocked_right=state.blocked_right,
+            )
+            new_y = y.copy()
+            new_y[state.free_indices] = free_labels
+            delta = float(np.abs(new_y - y).sum())
+            trace.append(delta)
+            y = new_y
+            w = backend.fit(y)
+            scores = backend.scores(w)
+            if delta <= self.tol:
+                break
+        return y, w, scores, trace
 
     def _initial_labels(
         self,
@@ -391,55 +312,19 @@ class IterMPMD(AlignmentModel):
     def fit(self, task: AlignmentTask) -> "IterMPMD":
         """Fit on a task using only its known labels (PU setting).
 
-        A :class:`~repro.engine.streaming.StreamedAlignmentTask` is
-        dispatched to :meth:`fit_streamed`.  With a non-default
-        ``backend`` the materialized matrix is served as a one-block
-        stream, so dense and streamed fits share the backend code path.
+        A materialized task runs as a one-block stream and a
+        :class:`~repro.engine.streaming.StreamedAlignmentTask` as its
+        candidate blocks — the same loop, the same labels.
         """
-        if isinstance(task, StreamedAlignmentTask):
-            return self.fit_streamed(task)
         self.task_ = task
-        y = self._initial_labels(task, task.labeled_indices, task.labeled_values)
-        if self.backend is not None:
-            state = AlternatingState.from_task(
-                task, task.labeled_indices, task.labeled_values
-            )
-            y, w, scores, trace = self._alternate_backend(
-                DenseBlockSource(task),
-                task.labeled_indices,
-                task.labeled_values,
-                y,
-                state=state,
-            )
-            self.weights_ = w
-            self.result_ = AlignmentResult(
-                labels=y.astype(np.int64),
-                scores=scores,
-                queried=(),
-                convergence_trace=tuple(trace),
-                n_rounds=1,
-            )
-            return self
-        solver = self._make_solver(task, task.labeled_indices, task.labeled_values)
-        y, w, scores, trace = self._alternate(
-            task, solver, y, task.labeled_indices, task.labeled_values
-        )
-        self.weights_ = w
-        self.result_ = AlignmentResult(
-            labels=y.astype(np.int64),
-            scores=scores,
-            queried=(),
-            convergence_trace=tuple(trace),
-            n_rounds=1,
-        )
-        return self
-
-    def fit_streamed(self, task: StreamedAlignmentTask) -> "IterMPMD":
-        """Fit on a streamed task — same labels, no |H| x d matrix."""
-        self.task_ = task
-        y = self._initial_labels(task, task.labeled_indices, task.labeled_values)
-        y, w, scores, trace = self._alternate_streamed(
-            task, task.labeled_indices, task.labeled_values, y
+        clamped_indices = task.labeled_indices
+        clamped_values = task.labeled_values
+        y, w, scores, trace = self._alternate_backend(
+            as_block_source(task),
+            AlternatingState.from_task(task, clamped_indices, clamped_values),
+            clamped_indices,
+            clamped_values,
+            self._initial_labels(task, clamped_indices, clamped_values),
         )
         self.weights_ = w
         self.result_ = AlignmentResult(

@@ -25,9 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import AlignmentModel, AlignmentResult, AlignmentTask
-from repro.engine.streaming import StreamedAlignmentTask
 from repro.exceptions import ModelError
-from repro.ml.backends import DenseBlockSource, SVMBackend
+from repro.ml.backends import SVMBackend, as_block_source
 
 
 class SVMAligner(AlignmentModel):
@@ -80,12 +79,9 @@ class SVMAligner(AlignmentModel):
         if task.labeled_indices.size == 0:
             raise ModelError("SVMAligner requires at least one labeled link")
         self.task_ = task
-        source = (
-            task
-            if isinstance(task, StreamedAlignmentTask)
-            else DenseBlockSource(task)
+        self.backend.begin(
+            as_block_source(task), train_indices=task.labeled_indices
         )
-        self.backend.begin(source, train_indices=task.labeled_indices)
         y = np.zeros(task.n_candidates, dtype=np.int64)
         y[task.labeled_indices] = task.labeled_values
         weights = self.backend.fit(y)

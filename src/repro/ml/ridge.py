@@ -95,7 +95,7 @@ class RidgeSolver:
         self.c = float(c)
         if sample_weight is None:
             self._weights = None
-            self._weighted_Xt = X.T
+            gram = X.T @ X
         else:
             weights = np.asarray(sample_weight, dtype=np.float64).ravel()
             if weights.shape[0] != X.shape[0]:
@@ -105,18 +105,24 @@ class RidgeSolver:
             if np.any(weights < 0):
                 raise ModelError("sample weights must be >= 0")
             self._weights = weights
-            self._weighted_Xt = X.T * weights
-        self._gram_solver = GramRidgeSolver(self._weighted_Xt @ X, c=self.c)
+            gram = (X.T * weights) @ X
+        self._gram_solver = GramRidgeSolver(gram, c=self.c)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """Return ``w = c (I + c XᵀΩX)⁻¹ XᵀΩ y`` for the given labels."""
+        """Return ``w = c (I + c XᵀΩX)⁻¹ XᵀΩ y`` for the given labels.
+
+        The right-hand side is formed as ``Xᵀ (Ωy)``, the same
+        arithmetic as :class:`~repro.ml.backends.RidgeBackend`, so a fit
+        over a one-block source agrees with this solver bit for bit.
+        """
         y = np.asarray(y, dtype=np.float64).ravel()
         if y.shape[0] != self.X.shape[0]:
             raise ModelError(
                 f"label vector length {y.shape[0]} does not match "
                 f"{self.X.shape[0]} samples"
             )
-        return self._gram_solver.solve_rhs(self._weighted_Xt @ y)
+        target = y if self._weights is None else y * self._weights
+        return self._gram_solver.solve_rhs(self.X.T @ target)
 
     def predict(self, w: np.ndarray, X: np.ndarray = None) -> np.ndarray:
         """Raw scores ``ŷ = Xw`` (training X by default)."""

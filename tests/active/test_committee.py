@@ -88,3 +88,56 @@ class TestCommitteeQueryStrategy:
             LabelOracle(positives, budget=6), strategy=strategy
         ).fit(task)
         assert len(model.queried_) == 6
+
+    def test_resume_reproduces_uninterrupted_run(
+        self, tiny_synthetic_pair, tmp_path
+    ):
+        """A checkpointed run resumes on the interrupted round's bootstrap."""
+        from repro.active.oracle import LabelOracle
+        from repro.core.activeiter import ActiveIter
+        from repro.core.base import AlignmentTask
+        from repro.engine import AlignmentSession
+        from repro.eval.protocol import ProtocolConfig, build_splits
+        from repro.exceptions import CheckpointInterrupt
+        from repro.store import SessionCheckpoint
+
+        config = ProtocolConfig(
+            np_ratio=5, sample_ratio=1.0, n_repeats=1, seed=13
+        )
+        split = next(iter(build_splits(tiny_synthetic_pair, config)))
+        candidates = list(split.candidates)
+        positives = {
+            candidates[i] for i in range(len(candidates)) if split.truth[i] == 1
+        }
+
+        def build(checkpoint=None):
+            session = AlignmentSession(
+                tiny_synthetic_pair, known_anchors=split.train_positive_pairs
+            )
+            task = AlignmentTask(
+                pairs=candidates,
+                X=session.extract(candidates),
+                labeled_indices=split.train_indices,
+                labeled_values=split.truth[split.train_indices],
+            )
+            model = ActiveIter(
+                LabelOracle(positives, budget=12),
+                strategy=CommitteeQueryStrategy(n_members=5, seed=1).bind(
+                    task.X
+                ),
+                batch_size=2,
+                checkpoint=checkpoint,
+            )
+            return model, task
+
+        reference, reference_task = build()
+        reference.fit(reference_task)
+
+        model, task = build(SessionCheckpoint(tmp_path, interrupt_after=2))
+        with pytest.raises(CheckpointInterrupt):
+            model.fit(task)
+        resumed, resumed_task = build(SessionCheckpoint(tmp_path))
+        resumed.fit(resumed_task)
+        assert resumed.queried_ == reference.queried_
+        assert np.array_equal(resumed.labels_, reference.labels_)
+        assert np.array_equal(resumed.scores_, reference.scores_)

@@ -7,7 +7,9 @@ from repro.core.base import AlignmentTask
 from repro.core.itermpmd import IterMPMD
 from repro.exceptions import ModelError
 from repro.matching.constraints import satisfies_one_to_one
+from repro.matching.greedy import greedy_link_selection
 from repro.meta.features import FeatureExtractor
+from repro.ml.ridge import RidgeSolver
 
 
 def _synthetic_task(pair, np_ratio=5, train_fraction=0.3, seed=0):
@@ -46,6 +48,48 @@ def _synthetic_task(pair, np_ratio=5, train_fraction=0.3, seed=0):
         labeled_values=truth[train_idx],
     )
     return task, truth
+
+
+def _closed_form_alternation(task, c=1.0, tol=0.5, max_iterations=30):
+    """The paper's (1-1)/(1-2) alternation, written out as a reference.
+
+    Step (1-1) is the closed-form ridge ``w = c (I + c XᵀΩX)⁻¹ XᵀΩy``
+    with balanced Ω (trusted positives weighted by #others/#positives);
+    step (1-2) relabels the free candidates greedily one-to-one, with
+    the known positives' endpoints blocked.
+    """
+    clamped, values = task.labeled_indices, task.labeled_values
+    positives = clamped[values == 1]
+    omega = np.ones(task.n_candidates)
+    omega[positives] = (task.n_candidates - positives.size) / positives.size
+    solver = RidgeSolver(task.X, c=c, sample_weight=omega)
+    free = np.setdiff1d(np.arange(task.n_candidates), clamped)
+    free_pairs = [task.pairs[i] for i in free]
+    blocked_left = {task.pairs[i][0] for i in positives}
+    blocked_right = {task.pairs[i][1] for i in positives}
+
+    y = np.zeros(task.n_candidates)
+    y[clamped] = values
+    w = solver.solve(y)
+    scores = task.X @ w
+    trace = []
+    for _ in range(max_iterations):
+        new_y = y.copy()
+        new_y[free] = greedy_link_selection(
+            free_pairs,
+            scores[free],
+            threshold=0.5,
+            blocked_left=blocked_left,
+            blocked_right=blocked_right,
+        )
+        delta = float(np.abs(new_y - y).sum())
+        trace.append(delta)
+        y = new_y
+        w = solver.solve(y)
+        scores = task.X @ w
+        if delta <= tol:
+            break
+    return y, w, scores, trace
 
 
 class TestIterMPMD:
@@ -106,6 +150,18 @@ class TestIterMPMD:
         task, _ = _synthetic_task(tiny_synthetic_pair)
         model = IterMPMD(positive_weight=1.0).fit(task)
         assert model.result_ is not None
+
+    @pytest.mark.parametrize("c", [1.0, 0.25])
+    def test_matches_closed_form_reference(self, small_synthetic_pair, c):
+        """The backend loop is bitwise the paper's closed-form step (1-1)."""
+        task, _ = _synthetic_task(small_synthetic_pair, seed=3)
+        y, w, scores, trace = _closed_form_alternation(task, c=c)
+        assert len(trace) > 1, "need a multi-iteration alternation"
+        model = IterMPMD(c=c).fit(task)
+        assert np.array_equal(model.weights_, w)
+        assert np.array_equal(model.scores_, scores)
+        assert np.array_equal(model.labels_, y.astype(np.int64))
+        assert model.result_.convergence_trace == tuple(trace)
 
     def test_deterministic(self, tiny_synthetic_pair):
         task_a, _ = _synthetic_task(tiny_synthetic_pair)

@@ -338,6 +338,30 @@ class TestStreamedFitEquivalence:
         assert streamed.queried_ == materialized.queried_
         assert np.array_equal(streamed.labels_, materialized.labels_)
 
+    def test_foreign_session_rejected_before_any_query(
+        self, tiny_synthetic_pair
+    ):
+        """A model bound to one session refuses a task over another."""
+        pair = tiny_synthetic_pair
+        split = _split_for(pair)
+        model_session = AlignmentSession(
+            pair, known_anchors=split.train_positive_pairs
+        )
+        task_session = AlignmentSession(
+            pair, known_anchors=split.train_positive_pairs
+        )
+        task = StreamedAlignmentTask(
+            task_session,
+            blockify(list(split.candidates), 48),
+            split.train_indices,
+            split.truth[split.train_indices],
+        )
+        oracle = LabelOracle(_positives(split), budget=6)
+        model = ActiveIter(oracle, batch_size=2, session=model_session)
+        with pytest.raises(ModelError, match="streamed task's session"):
+            model.fit(task)
+        assert oracle.spent == 0
+
     def test_never_materializes_full_matrix(
         self, tiny_synthetic_pair, monkeypatch
     ):
