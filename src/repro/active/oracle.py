@@ -94,8 +94,10 @@ class LabelOracle:
     def query_batch(self, pairs: Iterable[LinkPair]) -> List[Tuple[LinkPair, int]]:
         """Query several links, stopping silently when budget runs out.
 
-        Returns the ``(pair, label)`` tuples actually answered; callers
-        use the length to notice truncation.
+        Returns the ``(pair, label)`` tuples actually answered: a prefix
+        of ``pairs``, in order.  Callers use the length to notice
+        truncation, and the active loop maps answers back to candidates
+        by position.
         """
         answered: List[Tuple[LinkPair, int]] = []
         for pair in pairs:

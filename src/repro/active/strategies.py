@@ -15,7 +15,9 @@ negatives U−, the candidate set is
 
 τ = 0.05 in the experiments.  Candidates are ranked by the dominance
 margin ``ŷ_l − ŷ_l''`` (largest first) and the top ``k = 5`` are queried
-per round.
+per round.  :class:`ConflictFalseNegativeStrategy` evaluates the rule
+with one vectorized kernel over per-user groups, for both the
+materialized and the streamed entry point.
 
 All strategies share one interface so models can swap them (the paper's
 ActiveIter-Rand variant, plus a classic margin/uncertainty strategy kept
@@ -25,12 +27,11 @@ for ablations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Protocol, Sequence, Tuple
+from typing import Iterable, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ReproError
-from repro.matching.constraints import conflicting_indices
 from repro.types import LinkPair, NodeId
 
 
@@ -86,9 +87,10 @@ class StreamedQueryStrategy(QueryStrategy, Protocol):
 
     ``select_streamed`` must pick *exactly* the same indices as
     ``select`` would on the concatenation of the blocks — the streamed
-    active fit asserts on that equivalence.  The built-in conflict,
-    margin and random strategies all implement it with exact top-k
-    merges across blocks.
+    active fit asserts on that equivalence.  Streamed state is at most
+    O(|H|) scalars, never a feature matrix: the margin strategy keeps a
+    running top-k merge, and the conflict and random strategies buffer
+    per-candidate scalars and rank their concatenation.
     """
 
     def select_streamed(
@@ -112,10 +114,86 @@ def _validate_inputs(
     ):
         if np.asarray(values).ravel().shape[0] != n:
             raise ReproError(f"{name} length does not match {n} candidates")
+    bad = int(np.count_nonzero(~np.isfinite(np.asarray(scores, dtype=np.float64))))
+    if bad:
+        raise ReproError(
+            f"scores contain {bad} non-finite values (NaN/inf); "
+            "refusing to rank corrupted scores"
+        )
+
+
+def _user_codes(users: Sequence[NodeId]) -> Tuple[np.ndarray, int]:
+    """Integer codes of ``users`` (first-seen order) and how many exist."""
+    index = {user: code for code, user in enumerate(dict.fromkeys(users))}
+    codes = np.fromiter(map(index.__getitem__, users), dtype=np.intp, count=len(users))
+    return codes, len(index)
+
+
+def _conflict_picks(
+    pairs: Sequence[LinkPair],
+    scores: np.ndarray,
+    labels: np.ndarray,
+    queryable: np.ndarray,
+    indices: np.ndarray,
+    batch_size: int,
+    threshold: float,
+    allow_fallback: bool,
+) -> List[int]:
+    """The conflict rule over whole-of-H arrays, vectorized.
+
+    ``indices`` are the candidates' global indices: what is returned,
+    and what breaks ranking ties.  A negative's conflicting positives
+    are the positives sharing its left or right user, so both tests run
+    per user group: the best dominance ``ŷ_l − min ŷ_l''`` uses each
+    group's lowest positive score (float subtraction is monotone, so
+    this is bitwise the maximum over the group), and the near-miss test
+    expands each negative against the positives of its two groups —
+    at most one each under one-to-one labels, exact for any labels.
+    """
+    negatives = np.flatnonzero(queryable & (labels == 0))
+    positives = np.flatnonzero(labels == 1)
+    negative_scores = scores[negatives]
+    lowest = np.full(negatives.size, np.inf)
+    near_miss = np.zeros(negatives.size, dtype=bool)
+    for side in (0, 1):
+        codes, n_users = _user_codes([pair[side] for pair in pairs])
+        positive_codes = codes[positives]
+        negative_codes = codes[negatives]
+        lowest_by_user = np.full(n_users, np.inf)
+        np.minimum.at(lowest_by_user, positive_codes, scores[positives])
+        np.minimum(lowest, lowest_by_user[negative_codes], out=lowest)
+        # Expand: negative ``owner`` meets each positive of its group.
+        grouped = positives[np.argsort(positive_codes, kind="stable")]
+        group_sizes = np.bincount(positive_codes, minlength=n_users)
+        group_starts = np.cumsum(group_sizes) - group_sizes
+        sizes = group_sizes[negative_codes]
+        owner = np.repeat(np.arange(negatives.size), sizes)
+        first = np.cumsum(sizes) - sizes
+        within = np.arange(owner.size) - np.repeat(first, sizes)
+        partner = grouped[np.repeat(group_starts[negative_codes], sizes) + within]
+        close = np.abs(scores[partner] - negative_scores[owner]) <= threshold
+        near_miss[owner[close]] = True
+    dominance = negative_scores - lowest
+    ranked = np.flatnonzero(near_miss & (dominance > 0))
+    ranked_indices = indices[negatives[ranked]]
+    order = np.lexsort((ranked_indices, -dominance[ranked]))
+    picks = ranked_indices[order][:batch_size].tolist()
+
+    if len(picks) < batch_size and allow_fallback:
+        pool = indices[negatives]
+        rest = ~np.isin(pool, picks)
+        pool, pool_scores = pool[rest], negative_scores[rest]
+        order = np.lexsort((pool, -pool_scores))
+        picks.extend(pool[order][: batch_size - len(picks)].tolist())
+    return picks
 
 
 class ConflictFalseNegativeStrategy:
     """The paper's query strategy (see module docstring).
+
+    :meth:`select` and :meth:`select_streamed` run one vectorized kernel
+    over the whole candidate space, so their picks are identical by
+    construction.
 
     Parameters
     ----------
@@ -146,107 +224,54 @@ class ConflictFalseNegativeStrategy:
         batch_size: int,
     ) -> List[int]:
         _validate_inputs(pairs, scores, labels, queryable)
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        labels = np.asarray(labels).ravel()
-        queryable = np.asarray(queryable, dtype=bool).ravel()
-
-        conflicts = conflicting_indices(pairs)
-        ranked: List[tuple] = []
-        for index in np.flatnonzero(queryable & (labels == 0)):
-            near_miss = False
-            best_dominance = -np.inf
-            for other in conflicts[index]:
-                if labels[other] != 1:
-                    continue
-                if abs(scores[other] - scores[index]) <= self.closeness_threshold:
-                    near_miss = True
-                dominance = scores[index] - scores[other]
-                if dominance > 0 and dominance > best_dominance:
-                    best_dominance = dominance
-            if near_miss and best_dominance > 0:
-                ranked.append((best_dominance, index))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
-        picks = [index for _, index in ranked[:batch_size]]
-
-        if len(picks) < batch_size and self.allow_fallback:
-            chosen = set(picks)
-            fallback_pool = np.flatnonzero(queryable & (labels == 0))
-            fallback_order = sorted(
-                (index for index in fallback_pool if index not in chosen),
-                key=lambda index: (-scores[index], index),
-            )
-            picks.extend(fallback_order[: batch_size - len(picks)])
-        return picks
+        return _conflict_picks(
+            pairs,
+            np.asarray(scores, dtype=np.float64).ravel(),
+            np.asarray(labels).ravel(),
+            np.asarray(queryable, dtype=bool).ravel(),
+            np.arange(len(pairs)),
+            batch_size,
+            self.closeness_threshold,
+            self.allow_fallback,
+        )
 
     def select_streamed(
         self, blocks: Iterable[ScoredBlock], batch_size: int
     ) -> List[int]:
         """Blockwise :meth:`select` — identical picks, one pass over H.
 
-        The one-to-one structure makes the conflict rule streamable:
-        a negative candidate conflicts only with positives sharing its
-        left or right user, so two per-user score maps accumulated
-        during the pass carry everything the ranking needs.  Buffered
-        per-candidate state is three scalars per *queryable negative* —
-        never a feature matrix.
+        A negative may conflict with a positive in any block, so the
+        pass buffers the pairs and O(|H|) scalars (score, label,
+        queryable flag, global index) — never a feature matrix — and
+        ranks the concatenation with the same kernel as :meth:`select`.
+        Ties break by global index ``block.offset + position``.
         """
-        positive_left: Dict[NodeId, List[float]] = {}
-        positive_right: Dict[NodeId, List[float]] = {}
-        negatives: List[Tuple[int, LinkPair, float]] = []
+        pairs: List[LinkPair] = []
+        scores: List[np.ndarray] = []
+        labels: List[np.ndarray] = []
+        queryable: List[np.ndarray] = []
+        indices: List[np.ndarray] = []
         for block in blocks:
             _validate_inputs(
                 block.pairs, block.scores, block.labels, block.queryable
             )
-            scores = np.asarray(block.scores, dtype=np.float64).ravel()
-            labels = np.asarray(block.labels).ravel()
-            queryable = np.asarray(block.queryable, dtype=bool).ravel()
-            for position in np.flatnonzero(labels == 1):
-                left_user, right_user = block.pairs[position]
-                positive_left.setdefault(left_user, []).append(
-                    scores[position]
-                )
-                positive_right.setdefault(right_user, []).append(
-                    scores[position]
-                )
-            for position in np.flatnonzero(queryable & (labels == 0)):
-                negatives.append(
-                    (
-                        block.offset + int(position),
-                        block.pairs[position],
-                        scores[position],
-                    )
-                )
-
-        ranked: List[tuple] = []
-        for index, (left_user, right_user), score in negatives:
-            near_miss = False
-            best_dominance = -np.inf
-            conflicting = positive_left.get(left_user, [])
-            conflicting = conflicting + positive_right.get(right_user, [])
-            for other_score in conflicting:
-                if abs(other_score - score) <= self.closeness_threshold:
-                    near_miss = True
-                dominance = score - other_score
-                if dominance > 0 and dominance > best_dominance:
-                    best_dominance = dominance
-            if near_miss and best_dominance > 0:
-                ranked.append((best_dominance, index))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
-        picks = [index for _, index in ranked[:batch_size]]
-
-        if len(picks) < batch_size and self.allow_fallback:
-            chosen = set(picks)
-            fallback_order = sorted(
-                (
-                    (-score, index)
-                    for index, _, score in negatives
-                    if index not in chosen
-                ),
-            )
-            picks.extend(
-                index for _, index in fallback_order[: batch_size - len(picks)]
-            )
-        return picks
+            pairs.extend(block.pairs)
+            scores.append(np.asarray(block.scores, dtype=np.float64).ravel())
+            labels.append(np.asarray(block.labels).ravel())
+            queryable.append(np.asarray(block.queryable, dtype=bool).ravel())
+            indices.append(block.offset + np.arange(len(block.pairs)))
+        if not indices:
+            return []
+        return _conflict_picks(
+            pairs,
+            np.concatenate(scores),
+            np.concatenate(labels),
+            np.concatenate(queryable),
+            np.concatenate(indices),
+            batch_size,
+            self.closeness_threshold,
+            self.allow_fallback,
+        )
 
 
 class RandomQueryStrategy:

@@ -421,17 +421,22 @@ class ActiveIter(IterMPMD):
                         )
                 if not picks:
                     break
+                asked = [task.pairs[i] for i in picks]
                 with tracer.span("active.oracle", asked=len(picks)):
-                    answers = self.oracle.query_batch(
-                        [task.pairs[i] for i in picks]
-                    )
+                    answers = self.oracle.query_batch(asked)
                 if not answers:
                     break
+                # The oracle answers a prefix of the asked pairs, in
+                # order, so the answered indices are a prefix of picks.
+                if [pair for pair, _ in answers] != asked[: len(answers)]:
+                    raise ModelError(
+                        "the oracle must answer a prefix of the asked "
+                        "pairs, in order"
+                    )
                 queried.extend(answers)
 
-                answered_indices = np.array(
-                    [task.index_of(pair) for pair, _ in answers],
-                    dtype=np.int64,
+                answered_indices = np.asarray(
+                    picks[: len(answers)], dtype=np.int64
                 )
                 answered_values = np.array(
                     [label for _, label in answers], dtype=np.int64
@@ -450,8 +455,7 @@ class ActiveIter(IterMPMD):
                 ):
                     known_positive_pairs = [
                         task.pairs[i]
-                        for i, value in zip(clamped_indices, clamped_values)
-                        if value == 1
+                        for i in clamped_indices[clamped_values == 1].tolist()
                     ]
                     with tracer.span("active.refresh"):
                         session.set_anchors(known_positive_pairs)

@@ -69,12 +69,13 @@ class AlternatingState:
         free_mask = np.ones(task.n_candidates, dtype=bool)
         free_mask[clamped_indices] = False
         free_indices = np.flatnonzero(free_mask)
-        free_pairs = [task.pairs[i] for i in free_indices]
+        pairs = task.pairs
+        free_pairs = [pairs[i] for i in free_indices.tolist()]
         blocked_left: Set[NodeId] = set()
         blocked_right: Set[NodeId] = set()
-        for index, value in zip(clamped_indices, clamped_values):
+        for index, value in zip(clamped_indices.tolist(), clamped_values.tolist()):
             if value == 1:
-                left_user, right_user = task.pairs[index]
+                left_user, right_user = pairs[index]
                 blocked_left.add(left_user)
                 blocked_right.add(right_user)
         return cls(free_indices, free_pairs, blocked_left, blocked_right)
@@ -85,19 +86,25 @@ class AlternatingState:
         indices: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        """Narrow the state after new labels are clamped (queried)."""
+        """Narrow the state after new labels are clamped (queried).
+
+        A round clamps at most ``k`` labels, so their free positions are
+        found by binary search and deleted in place — the |H| free list
+        is never rebuilt.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return
-        keep = ~np.isin(self.free_indices, indices)
-        if not keep.all():
-            self.free_pairs = [
-                pair for pair, kept in zip(self.free_pairs, keep) if kept
-            ]
-            self.free_indices = self.free_indices[keep]
-        for index, value in zip(indices, values):
+        positions = np.searchsorted(self.free_indices, indices)
+        found = positions < self.free_indices.size
+        found[found] = self.free_indices[positions[found]] == indices[found]
+        positions = np.unique(positions[found])
+        for position in positions[::-1].tolist():
+            del self.free_pairs[position]
+        self.free_indices = np.delete(self.free_indices, positions)
+        for index, value in zip(indices.tolist(), np.asarray(values).tolist()):
             if value == 1:
-                left_user, right_user = task.pairs[int(index)]
+                left_user, right_user = task.pairs[index]
                 self.blocked_left.add(left_user)
                 self.blocked_right.add(right_user)
 

@@ -98,8 +98,11 @@ def assert_one_to_one(pairs: Sequence[LinkPair], labels: np.ndarray) -> None:
 def conflicting_indices(pairs: Sequence[LinkPair]) -> List[List[int]]:
     """For each candidate, the indices of other candidates sharing a user.
 
-    Used by the active query strategy, which inspects the positive links
-    that *conflict* with a negative candidate.
+    The plain statement of the conflicts the paper's query rule inspects
+    (the positive links that *conflict* with a negative candidate).  The
+    query strategy ranks with a vectorized kernel over per-user groups
+    instead; this list-of-lists form stays as the reference the test
+    suite checks that kernel against.
     """
     by_left: Dict[NodeId, List[int]] = {}
     by_right: Dict[NodeId, List[int]] = {}

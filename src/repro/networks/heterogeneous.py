@@ -30,7 +30,9 @@ epochs prove an exported matrix cannot have changed — the property
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -41,6 +43,19 @@ from dataclasses import dataclass
 from repro.exceptions import NetworkError, SchemaError
 from repro.networks.schema import NetworkSchema
 from repro.types import AttributeValue, NodeId
+
+
+#: Matrix exports memoized per network (see
+#: :meth:`HeterogeneousNetwork._memoized`).  Weakly keyed and outside the
+#: instance, so a network's memo dies with it and never travels with it.
+_EXPORTS: "weakref.WeakKeyDictionary[HeterogeneousNetwork, Dict]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _positions(index: Dict, keys: Iterable, count: int) -> np.ndarray:
+    """``index[key]`` for each of ``count`` keys, as an array."""
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=count)
 
 
 @dataclass(frozen=True)
@@ -458,23 +473,19 @@ class HeterogeneousNetwork:
         """CSR adjacency of one relation: ``A[i, j] = 1`` iff edge exists.
 
         Rows are indexed by the relation's source node type order, columns
-        by its target node type order (see :meth:`nodes`).
+        by its target node type order (see :meth:`nodes`).  Exports are
+        memoized (see :meth:`_memoized`); each call returns a fresh copy.
         """
         spec = self.schema.edge_type(relation)
-        n_rows = self.slot_count(spec.source)
-        n_cols = self.slot_count(spec.target)
-        rows: List[int] = []
-        cols: List[int] = []
-        src_index = self._node_index[spec.source]
-        dst_index = self._node_index[spec.target]
-        for source, targets in self._out[relation].items():
-            i = src_index[source]
-            for target in targets:
-                rows.append(i)
-                cols.append(dst_index[target])
-        data = np.ones(len(rows), dtype=np.float64)
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n_rows, n_cols)
+        stamp = (
+            self.slot_count(spec.source),
+            self.slot_count(spec.target),
+            self._node_epochs[spec.source],
+            self._node_epochs[spec.target],
+            self._edge_epochs[relation],
+        )
+        return self._memoized(
+            relation, stamp, lambda: self._export_adjacency(relation)
         )
 
     def attribute_matrix(
@@ -484,6 +495,9 @@ class HeterogeneousNetwork:
         binary: bool = True,
     ) -> sparse.csr_matrix:
         """CSR node-by-attribute-value incidence matrix.
+
+        Exports are memoized (see :meth:`_memoized`); each call returns
+        a fresh copy.
 
         Parameters
         ----------
@@ -507,29 +521,86 @@ class HeterogeneousNetwork:
         spec = self.schema.attribute_type(attribute)
         if vocabulary is None:
             vocabulary = self._attr_values[attribute]
-            value_index: Dict[AttributeValue, int] = self._attr_index[attribute]
-        else:
-            value_index = {value: j for j, value in enumerate(vocabulary)}
-        n_rows = self.slot_count(spec.node_type)
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        node_index = self._node_index[spec.node_type]
-        for node_id, bag in self._attr_links[attribute].items():
-            i = node_index[node_id]
-            for value, count in bag.items():
-                try:
-                    j = value_index[value]
-                except KeyError:
-                    raise NetworkError(
-                        f"vocabulary for attribute {attribute!r} omits value "
-                        f"{value!r} present in network {self.name!r}"
-                    ) from None
-                rows.append(i)
-                cols.append(j)
-                data.append(1.0 if binary else float(count))
+        vocabulary = list(vocabulary)
+        stamp = (
+            self.slot_count(spec.node_type),
+            self._node_epochs[spec.node_type],
+            self._attr_epochs[attribute],
+            vocabulary,
+        )
+        return self._memoized(
+            (attribute, bool(binary)),
+            stamp,
+            lambda: self._export_attribute(attribute, vocabulary, binary),
+        )
+
+    def _memoized(self, key, stamp: Tuple, build) -> sparse.csr_matrix:
+        """A copy of the export ``key``, rebuilt when ``stamp`` moved.
+
+        ``stamp`` holds the slot counts and mutation epochs the export
+        depends on (the ones :func:`repro.meta.context.bag_fingerprints`
+        trusts) plus, for attribute matrices, the exact vocabulary; equal
+        stamps prove the export unchanged.  One entry per export: a
+        stale entry is replaced, so churn never grows the memo.  The memo
+        lives outside the instance, so it never rides a pickle, deep
+        copy or checkpoint, and callers get copies, so patching a
+        returned matrix cannot leak into the next export.
+        """
+        memo = _EXPORTS.setdefault(self, {})
+        entry = memo.get(key)
+        if entry is None or entry[0] != stamp:
+            entry = memo[key] = (stamp, build())
+        return entry[1].copy()
+
+    def _export_adjacency(self, relation: str) -> sparse.csr_matrix:
+        spec = self.schema.edge_type(relation)
+        out = self._out[relation]
+        degrees = np.fromiter(map(len, out.values()), dtype=np.intp, count=len(out))
+        n_edges = int(degrees.sum())
+        rows = np.repeat(
+            _positions(self._node_index[spec.source], out, len(out)), degrees
+        )
+        cols = _positions(
+            self._node_index[spec.target],
+            chain.from_iterable(out.values()),
+            n_edges,
+        )
         return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n_rows, len(vocabulary))
+            (np.ones(n_edges, dtype=np.float64), (rows, cols)),
+            shape=(self.slot_count(spec.source), self.slot_count(spec.target)),
+        )
+
+    def _export_attribute(
+        self, attribute: str, vocabulary: List[AttributeValue], binary: bool
+    ) -> sparse.csr_matrix:
+        spec = self.schema.attribute_type(attribute)
+        value_index = {value: j for j, value in enumerate(vocabulary)}
+        links = self._attr_links[attribute]
+        sizes = np.fromiter(map(len, links.values()), dtype=np.intp, count=len(links))
+        n_entries = int(sizes.sum())
+        rows = np.repeat(
+            _positions(self._node_index[spec.node_type], links, len(links)), sizes
+        )
+        try:
+            cols = _positions(
+                value_index, chain.from_iterable(links.values()), n_entries
+            )
+        except KeyError as error:
+            raise NetworkError(
+                f"vocabulary for attribute {attribute!r} omits value "
+                f"{error.args[0]!r} present in network {self.name!r}"
+            ) from None
+        if binary:
+            data = np.ones(n_entries, dtype=np.float64)
+        else:
+            data = np.fromiter(
+                chain.from_iterable(bag.values() for bag in links.values()),
+                dtype=np.float64,
+                count=n_entries,
+            )
+        return sparse.csr_matrix(
+            (data, (rows, cols)),
+            shape=(self.slot_count(spec.node_type), len(vocabulary)),
         )
 
     # ------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.active.strategies import (
     ConflictFalseNegativeStrategy,
@@ -10,6 +12,7 @@ from repro.active.strategies import (
     ScoredBlock,
 )
 from repro.exceptions import ReproError
+from repro.matching.constraints import conflicting_indices
 
 # Candidate layout: left users a, b; right users x, y.
 PAIRS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
@@ -100,6 +103,99 @@ class TestConflictStrategy:
         strategy = ConflictFalseNegativeStrategy()
         with pytest.raises(ReproError):
             strategy.select(PAIRS, np.ones(3), np.zeros(4), np.ones(4, bool), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        """A NaN positive must not be skipped silently, nor an inf ranked."""
+        strategy = ConflictFalseNegativeStrategy()
+        scores = np.array([0.60, 0.58, bad, bad])
+        labels = np.array([1, 0, 0, 1])
+        queryable = np.ones(4, dtype=bool)
+        with pytest.raises(ReproError, match="2 non-finite"):
+            strategy.select(PAIRS, scores, labels, queryable, 1)
+        with pytest.raises(ReproError, match="2 non-finite"):
+            strategy.select_streamed(
+                _blockify_inputs(PAIRS, scores, labels, queryable, 2), 1
+            )
+
+
+def _paper_rule(pairs, scores, labels, queryable, batch_size, tau, fallback):
+    """The paper's conflict rule, written plainly over conflicting_indices."""
+    conflicts = conflicting_indices(pairs)
+    pool = [i for i in range(len(pairs)) if queryable[i] and labels[i] == 0]
+    ranked = []
+    for index in pool:
+        winners = [other for other in conflicts[index] if labels[other] == 1]
+        near_miss = any(
+            abs(scores[other] - scores[index]) <= tau for other in winners
+        )
+        dominance = max(
+            (scores[index] - scores[other] for other in winners),
+            default=-np.inf,
+        )
+        if near_miss and dominance > 0:
+            ranked.append((-dominance, index))
+    picks = [index for _, index in sorted(ranked)[:batch_size]]
+    if len(picks) < batch_size and fallback:
+        rest = sorted((-scores[i], i) for i in pool if i not in picks)
+        picks += [index for _, index in rest[: batch_size - len(picks)]]
+    return picks
+
+
+@st.composite
+def _conflict_problem(draw):
+    """Few users (so duplicates on both sides), any 0/1 labels, scores on
+    a dyadic grid (exact ties, |Δ| == τ exactly) or anywhere."""
+    n = draw(st.integers(0, 14))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    users = column(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    if draw(st.booleans()):
+        values = st.integers(-4, 4).map(lambda k: k * 0.25)
+    else:
+        values = st.floats(-2, 2, allow_nan=False)
+    bounds = sorted(draw(st.sets(st.integers(0, n))) | {0, n})
+    return {
+        "pairs": [(f"l{left}", f"r{right}") for left, right in users],
+        "scores": np.array(column(values), dtype=np.float64),
+        "labels": np.array(column(st.sampled_from([0, 1])), dtype=np.int64),
+        "queryable": np.array(column(st.booleans()), dtype=bool),
+        "batch_size": draw(st.sampled_from([0, 1, 2, n + 1])),
+        "tau": draw(st.sampled_from([0.0, 0.05, 0.25, 0.5])),
+        "fallback": draw(st.booleans()),
+        "blocks": list(zip(bounds, bounds[1:])),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_conflict_problem())
+def test_conflict_selection_matches_paper_rule(problem):
+    """select and select_streamed equal the plain rule, for any input."""
+    pairs, scores = problem["pairs"], problem["scores"]
+    labels, queryable = problem["labels"], problem["queryable"]
+    batch_size = problem["batch_size"]
+    expected = _paper_rule(
+        pairs, scores, labels, queryable, batch_size,
+        problem["tau"], problem["fallback"],
+    )
+    strategy = ConflictFalseNegativeStrategy(
+        problem["tau"], problem["fallback"]
+    )
+    picks = strategy.select(pairs, scores, labels, queryable, batch_size)
+    assert picks == expected
+    blocks = [
+        ScoredBlock(
+            pairs=pairs[start:end],
+            scores=scores[start:end],
+            labels=labels[start:end],
+            queryable=queryable[start:end],
+            offset=start,
+        )
+        for start, end in problem["blocks"]
+    ]
+    assert strategy.select_streamed(blocks, batch_size) == expected
 
 
 class TestRandomStrategy:

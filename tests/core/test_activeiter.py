@@ -52,6 +52,22 @@ class TestActiveIter:
         train_pairs = {task.pairs[i] for i in task.labeled_indices}
         assert all(pair not in train_pairs for pair, _ in model.queried_)
 
+    def test_oracle_answering_out_of_order_rejected(self, tiny_synthetic_pair):
+        """Answers map back to candidates by position, so an oracle that
+        breaks the prefix contract must fail loudly."""
+
+        class ReversingOracle(LabelOracle):
+            def query_batch(self, pairs):
+                return super().query_batch(pairs)[::-1]
+
+        task, truth = _synthetic_task(tiny_synthetic_pair)
+        positives = {
+            task.pairs[i] for i in range(task.n_candidates) if truth[i] == 1
+        }
+        model = ActiveIter(ReversingOracle(positives, budget=6), batch_size=3)
+        with pytest.raises(ModelError, match="prefix of the asked pairs"):
+            model.fit(task)
+
     def test_one_to_one_maintained(self, tiny_synthetic_pair):
         task, truth = _synthetic_task(tiny_synthetic_pair)
         oracle = _oracle_for(task, truth, 10)

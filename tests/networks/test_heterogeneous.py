@@ -1,8 +1,14 @@
 """Tests for repro.networks.heterogeneous."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.exceptions import NetworkError, SchemaError
+from repro.networks import heterogeneous
+from repro.networks.aligned import AlignedPair, NetworkDelta
 from repro.networks.heterogeneous import HeterogeneousNetwork
 from repro.networks.schema import (
     FOLLOW,
@@ -159,7 +165,7 @@ class TestMatrixExports:
         assert counts[0, 0] == 5
 
     def test_incomplete_vocabulary_rejected(self, net):
-        with pytest.raises(NetworkError, match="omits value"):
+        with pytest.raises(NetworkError, match="omits value 7 present"):
             net.attribute_matrix(TIMESTAMP, vocabulary=[99])
 
     def test_empty_relation_matrix(self):
@@ -172,3 +178,133 @@ class TestMatrixExports:
     def test_repr_summarizes(self, net):
         text = repr(net)
         assert "user=3" in text and "follow=2" in text
+
+
+def _exports(network, vocabularies=None):
+    """Every matrix export of ``network``, dense (``vocabularies`` maps
+    an attribute to its column order; default the network's own)."""
+    exports = {
+        relation: network.typed_adjacency(relation).toarray()
+        for relation in (FOLLOW, WRITE)
+    }
+    for attribute in (TIMESTAMP, LOCATION):
+        for binary in (True, False):
+            exports[attribute, binary] = network.attribute_matrix(
+                attribute,
+                vocabulary=(vocabularies or {}).get(attribute),
+                binary=binary,
+            ).toarray()
+    return exports
+
+
+def _assert_fresh(network, vocabularies=None):
+    """The (memoized) exports equal those of a memo-free copy."""
+    fresh = copy.deepcopy(network)
+    assert fresh not in heterogeneous._EXPORTS
+    expected = _exports(fresh, vocabularies)
+    actual = _exports(network, vocabularies)
+    assert actual.keys() == expected.keys()
+    for key, matrix in expected.items():
+        assert np.array_equal(actual[key], matrix), key
+
+
+class TestExportMemo:
+    """Exports are memoized per network but never observably stale."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda net: net.add_node(USER, "u3"),
+            lambda net: net.add_nodes(POST, ["p2", "p3"]),
+            lambda net: net.add_edge(FOLLOW, "u2", "u0"),
+            lambda net: net.remove_edge(FOLLOW, "u0", "u1"),
+            lambda net: net.attach_attribute(TIMESTAMP, "p1", 9),
+            lambda net: net.attach_attribute(TIMESTAMP, "p0", 7, count=2),
+            lambda net: net.detach_attributes(TIMESTAMP, "p0"),
+            lambda net: net.remove_node(USER, "u0"),
+            lambda net: net.remove_node(POST, "p0"),
+            lambda net: (net.remove_node(USER, "u1"), net.compact()),
+        ],
+        ids=[
+            "add_node", "add_nodes", "add_edge", "remove_edge",
+            "attach_new_value", "attach_repeat", "detach", "remove_user",
+            "remove_post", "compact",
+        ],
+    )
+    def test_export_after_mutation_equals_fresh(self, net, mutate):
+        _exports(net)  # populate the memo
+        mutate(net)
+        _assert_fresh(net)
+
+    def test_compaction_that_restores_every_count_reexports(self, net):
+        """Slot counts and the write epoch come back equal; positions do
+        not — the node epoch is what tells the memo."""
+        net.remove_edge(WRITE, "u0", "p0")
+        before = net.typed_adjacency(WRITE).toarray()
+        net.remove_node(POST, "p0")
+        net.compact()
+        net.add_node(POST, "p2")
+        assert not np.array_equal(net.typed_adjacency(WRITE).toarray(), before)
+        _assert_fresh(net)
+
+    def test_export_after_apply_delta_equals_fresh(self, net):
+        right = HeterogeneousNetwork(social_network_schema(), "right")
+        right.add_nodes(USER, ["r0", "r1"])
+        right.add_nodes(POST, ["q0"])
+        right.add_edge(WRITE, "r0", "q0")
+        right.attach_attribute(TIMESTAMP, "q0", 3)
+        pair = AlignedPair(net, right, [("u0", "r0")])
+        for attribute in (TIMESTAMP, LOCATION):
+            pair.attribute_matrices(attribute)
+        _exports(net)
+        pair.apply_delta(
+            NetworkDelta.build(
+                "left",
+                added_nodes={POST: ["p9"]},
+                added_edges=[(WRITE, "u1", "p9"), (FOLLOW, "u2", "u1")],
+                updated_attributes=[(TIMESTAMP, "p9", 3), (LOCATION, "p9", 4)],
+                removed_nodes={USER: ["u0"]},
+            )
+        )
+        _assert_fresh(net)
+        _assert_fresh(
+            net,
+            {
+                attribute: pair.shared_vocabulary(attribute)
+                for attribute in (TIMESTAMP, LOCATION)
+            },
+        )
+
+    def test_vocabulary_change_reexports(self, net):
+        first = net.attribute_matrix(TIMESTAMP, vocabulary=[7, 8]).toarray()
+        second = net.attribute_matrix(TIMESTAMP, vocabulary=[8, 7]).toarray()
+        assert np.array_equal(first[:, ::-1], second)
+        _assert_fresh(net, {TIMESTAMP: [8, 7], LOCATION: [(5, 5), (1, 2)]})
+
+    def test_caller_mutation_does_not_leak(self, net):
+        follow = net.typed_adjacency(FOLLOW)
+        follow.data[:] = 5.0
+        follow.indices[:] = 2
+        stamps = net.attribute_matrix(TIMESTAMP, binary=False)
+        stamps.data *= 3
+        _assert_fresh(net)
+
+    def test_memo_holds_one_entry_per_export(self, net):
+        for step in range(5):
+            net.add_node(USER, f"new{step}")
+            net.attach_attribute(TIMESTAMP, "p0", 100 + step)
+            net.typed_adjacency(FOLLOW)
+            net.attribute_matrix(TIMESTAMP)
+            net.attribute_matrix(TIMESTAMP, binary=False)
+        assert set(heterogeneous._EXPORTS[net]) == {
+            FOLLOW, (TIMESTAMP, True), (TIMESTAMP, False)
+        }
+        _assert_fresh(net)
+
+    def test_pickle_and_deepcopy_carry_no_memo(self, net):
+        before = pickle.dumps(net)
+        _exports(net)
+        assert net in heterogeneous._EXPORTS
+        assert pickle.dumps(net) == before
+        assert pickle.loads(before) not in heterogeneous._EXPORTS
+        assert copy.deepcopy(net) not in heterogeneous._EXPORTS
