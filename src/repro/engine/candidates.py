@@ -26,6 +26,7 @@ final global selection.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -273,39 +274,64 @@ class CandidateGenerator:
         return self
 
     # ------------------------------------------------------------------
-    def _row_columns(self, i: int) -> np.ndarray:
-        """Admissible right-user indices for left user ``i``."""
-        if self._allowed is not None:
-            start, end = self._allowed.indptr[i], self._allowed.indptr[i + 1]
-            columns = self._allowed.indices[start:end]
-        else:
-            columns = np.arange(len(self._right_users))
-        if self.max_degree_ratio is not None and columns.size:
-            left_degree = 1.0 + self._left_degrees[i]
-            right_degrees = 1.0 + self._right_degrees[columns]
-            ratio = np.maximum(left_degree / right_degrees, right_degrees / left_degree)
-            columns = columns[ratio <= self.max_degree_ratio]
-        return columns
+    def _rows(self) -> Iterator[Tuple[NodeId, np.ndarray]]:
+        """``(left_user, admissible columns)`` per live row with any.
 
-    def count(self) -> int:
-        """Number of candidate pairs the stream will produce."""
-        total = 0
+        The one per-row filter behind :meth:`count` and :meth:`blocks`:
+        mask row (or every column) and degree ratio, then tombstoned
+        right slots (their mask bits are stale), then exclusions —
+        resolved once per pass to linearized ``i * n_right + j`` keys.
+        Column order is the mask's stored order.
+        """
+        n_right = len(self._right_users)
+        live = np.array([user is not None for user in self._right_users], dtype=bool)
+        excluded = self._excluded_keys(n_right)
         for i, left_user in enumerate(self._left_users):
             if left_user is None:
                 continue  # tombstoned slot
-            columns = self._row_columns(i)
-            if self._exclude:
-                total += sum(
-                    1
-                    for j in columns
-                    if self._right_users[j] is not None
-                    and (left_user, self._right_users[j]) not in self._exclude
-                )
+            if self._allowed is not None:
+                start, end = self._allowed.indptr[i], self._allowed.indptr[i + 1]
+                columns = self._allowed.indices[start:end]
             else:
-                total += sum(
-                    1 for j in columns if self._right_users[j] is not None
+                columns = np.arange(n_right)
+            if self.max_degree_ratio is not None and columns.size:
+                left_degree = 1.0 + self._left_degrees[i]
+                right_degrees = 1.0 + self._right_degrees[columns]
+                ratio = np.maximum(
+                    left_degree / right_degrees, right_degrees / left_degree
                 )
-        return total
+                columns = columns[ratio <= self.max_degree_ratio]
+            columns = columns[live[columns]]
+            if excluded.size:
+                first, last = np.searchsorted(
+                    excluded, (i * n_right, (i + 1) * n_right)
+                )
+                if first < last:
+                    row_excluded = excluded[first:last] - i * n_right
+                    columns = columns[~np.isin(columns, row_excluded)]
+            if columns.size:
+                yield left_user, columns
+
+    def _excluded_keys(self, n_right: int) -> np.ndarray:
+        """Sorted linearized keys of the exclusions naming live slots."""
+        if not self._exclude:
+            return np.zeros(0, dtype=np.int64)
+        left_slots = {
+            user: i for i, user in enumerate(self._left_users) if user is not None
+        }
+        right_slots = {
+            user: j for j, user in enumerate(self._right_users) if user is not None
+        }
+        keys = [
+            left_slots[left_user] * n_right + right_slots[right_user]
+            for left_user, right_user in self._exclude
+            if left_user in left_slots and right_user in right_slots
+        ]
+        return np.unique(np.array(keys, dtype=np.int64))
+
+    def count(self) -> int:
+        """Number of candidate pairs the stream will produce."""
+        return sum(columns.size for _, columns in self._rows())
 
     def pairs(self) -> Iterator[LinkPair]:
         """Every candidate pair, in deterministic row-major order."""
@@ -313,20 +339,20 @@ class CandidateGenerator:
             yield from block
 
     def blocks(self) -> Iterator[CandidateBlock]:
-        """Yield candidate pairs in blocks of at most ``block_size``."""
+        """Yield candidate pairs in blocks of ``block_size`` (the last may
+        be shorter), in row-major order."""
+        right_users = self._right_users
         block: CandidateBlock = []
-        for i, left_user in enumerate(self._left_users):
-            if left_user is None:
-                continue  # tombstoned slot
-            for j in self._row_columns(i):
-                right_user = self._right_users[j]
-                if right_user is None:
-                    continue  # tombstoned slot (its mask bits are stale)
-                candidate = (left_user, right_user)
-                if candidate in self._exclude:
-                    continue
-                block.append(candidate)
-                if len(block) >= self.block_size:
+        for left_user, columns in self._rows():
+            row = zip(
+                repeat(left_user), map(right_users.__getitem__, columns.tolist())
+            )
+            remaining = columns.size
+            while remaining:
+                take = min(remaining, self.block_size - len(block))
+                block.extend(islice(row, take))
+                remaining -= take
+                if len(block) == self.block_size:
                     yield block
                     block = []
         if block:
@@ -403,12 +429,12 @@ def streamed_selection(
                 f"score function returned {scores.shape[0]} scores "
                 f"for a block of {len(block)} candidates"
             )
-        keep = scores > threshold
-        if keep.any():
-            survivor_pairs.extend(
-                pair for pair, kept in zip(block, keep) if kept
-            )
-            survivor_scores.append(scores[keep])
+        keep = np.flatnonzero(scores > threshold)
+        if keep.size == len(block):
+            survivor_pairs.extend(block)
+        else:
+            survivor_pairs.extend(map(block.__getitem__, keep.tolist()))
+        survivor_scores.append(scores[keep])
     if not survivor_pairs:
         return []
     scores = np.concatenate(survivor_scores)
@@ -420,9 +446,8 @@ def streamed_selection(
         blocked_right=blocked_right,
     )
     selected = [
-        (pair, float(score))
-        for pair, score, label in zip(survivor_pairs, scores, labels)
-        if label == 1
+        (survivor_pairs[index], float(scores[index]))
+        for index in np.flatnonzero(labels).tolist()
     ]
     selected.sort(key=lambda item: -item[1])
     return selected

@@ -380,20 +380,13 @@ class DeltaEvaluator:
         self, matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
         """Targeted entry lookup with per-matrix entry-key caching."""
-        from repro.meta.proximity import csr_values_at
+        from repro.meta.proximity import csr_entry_keys, csr_values_at
 
         cache_key = id(matrix)
         memoized = self._entry_keys_memo.get(cache_key)
         if memoized is None or memoized[0] is not matrix:
             matrix.sort_indices()
-            row_lengths = np.diff(matrix.indptr)
-            entry_keys = (
-                np.repeat(
-                    np.arange(matrix.shape[0], dtype=np.int64), row_lengths
-                )
-                * matrix.shape[1]
-                + matrix.indices
-            )
+            entry_keys = csr_entry_keys(matrix)
             self._entry_keys_memo[cache_key] = (matrix, entry_keys)
         else:
             entry_keys = memoized[1]

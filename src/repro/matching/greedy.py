@@ -24,6 +24,9 @@ import numpy as np
 from repro.exceptions import ConstraintViolationError
 from repro.types import LinkPair, NodeId
 
+#: Candidates converted to Python ints at a time by the greedy walk.
+_WALK_CHUNK = 4096
+
 
 def greedy_link_selection(
     pairs: Sequence[LinkPair],
@@ -51,26 +54,54 @@ def greedy_link_selection(
     numpy.ndarray
         0/1 label vector over ``pairs``, deterministic: ties in score are
         broken by candidate order.
+
+    Raises
+    ------
+    ConstraintViolationError
+        When ``scores`` and ``pairs`` differ in length, or a score is NaN
+        (it has no place in the descending order).
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if scores.shape[0] != len(pairs):
         raise ConstraintViolationError(
             f"{scores.shape[0]} scores for {len(pairs)} candidate links"
         )
+    if np.isnan(scores).any():
+        raise ConstraintViolationError("candidate link scores contain NaN")
     used_left: Set[NodeId] = set(blocked_left) if blocked_left else set()
     used_right: Set[NodeId] = set(blocked_right) if blocked_right else set()
+    # Only links above the threshold can be accepted, so only that
+    # prefix of the stable descending order (ties keep candidate order)
+    # is sorted and walked.
+    if np.count_nonzero(scores > threshold) == len(pairs):
+        order = np.argsort(-scores, kind="stable")
+        candidates = pairs
+    else:
+        prefix = np.flatnonzero(scores > threshold)
+        order = prefix[np.argsort(-scores[prefix], kind="stable")]
+        candidates = [pairs[index] for index in prefix.tolist()]
+    # Allocated once the sort's negated copy is gone, to keep the peak low.
     labels = np.zeros(len(pairs), dtype=np.int64)
-    # Stable sort by descending score keeps candidate order on ties.
-    order = np.argsort(-scores, kind="stable")
-    for index in order:
-        if scores[index] <= threshold:
-            break
-        left_user, right_user = pairs[index]
-        if left_user in used_left or right_user in used_right:
-            continue
-        labels[index] = 1
-        used_left.add(left_user)
-        used_right.add(right_user)
+    # Each accepted link uses up one free candidate user per side, so the
+    # walk is over once either side has none left.
+    remaining = min(
+        len({left for left, _ in candidates}.difference(used_left)),
+        len({right for _, right in candidates}.difference(used_right)),
+    )
+    # Walked in chunks: plain ints index ``pairs`` faster than numpy
+    # scalars, and one list of the whole order would cost a Python int
+    # per candidate.
+    for start in range(0, order.size, _WALK_CHUNK):
+        for index in order[start : start + _WALK_CHUNK].tolist():
+            if remaining == 0:
+                return labels
+            left_user, right_user = pairs[index]
+            if left_user in used_left or right_user in used_right:
+                continue
+            labels[index] = 1
+            used_left.add(left_user)
+            used_right.add(right_user)
+            remaining -= 1
     return labels
 
 

@@ -42,19 +42,7 @@ class ProximityMatrix:
         self._counts.sort_indices()
         self._row_sums = np.asarray(counts.sum(axis=1)).ravel()
         self._col_sums = np.asarray(counts.sum(axis=0)).ravel()
-        # Row-major linearized keys of the stored entries.  Scipy's CSR
-        # fancy indexing walks entries one by one in Python; a single
-        # searchsorted over these (sorted) keys serves batch lookups —
-        # the hot path of feature extraction — in vectorized time.
-        n_cols = self._counts.shape[1]
-        row_lengths = np.diff(self._counts.indptr)
-        self._entry_keys = (
-            np.repeat(
-                np.arange(self._counts.shape[0], dtype=np.int64), row_lengths
-            )
-            * n_cols
-            + self._counts.indices
-        )
+        self._entry_keys = csr_entry_keys(self._counts)
 
     def _values_at(
         self, left_indices: np.ndarray, right_indices: np.ndarray
@@ -121,9 +109,25 @@ def dice_scores(
     view scoring — must go through it so they stay bit-identical.
     """
     scores = np.zeros_like(denominators, dtype=np.float64)
-    nonzero = denominators > 0
-    scores[nonzero] = 2.0 * values[nonzero] / denominators[nonzero]
+    np.divide(2.0 * values, denominators, out=scores, where=denominators > 0)
     return scores
+
+
+def csr_entry_keys(
+    matrix: sparse.csr_matrix, start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """Row-major keys ``i * n_cols + j`` of the entries in rows [start, stop).
+
+    Scipy's CSR fancy indexing walks entries one by one in Python; one
+    searchsorted over these keys serves a batch lookup in vectorized
+    time.  The keys are sorted when ``matrix`` has sorted indices.
+    """
+    if stop is None:
+        stop = matrix.shape[0]
+    indptr = matrix.indptr
+    row_lengths = np.diff(indptr[start : stop + 1])
+    rows = np.repeat(np.arange(start, stop, dtype=np.int64), row_lengths)
+    return rows * matrix.shape[1] + matrix.indices[indptr[start] : indptr[stop]]
 
 
 def csr_values_at(
@@ -135,30 +139,39 @@ def csr_values_at(
 ) -> np.ndarray:
     """Batch-read ``matrix[rows[k], cols[k]]`` values, zeros where absent.
 
-    ``query_keys`` may carry precomputed ``rows * n_cols + cols`` keys
-    (the incremental engine caches them per candidate view), and
-    ``entry_keys`` the matrix's precomputed sorted linearized keys
-    (:class:`ProximityMatrix` caches them); both are built on the fly
-    when absent.
+    Only the entries of the row window [min(rows), max(rows)] are
+    searched, so a row-major candidate block costs O(window), not
+    O(nnz).  ``query_keys`` may carry precomputed ``rows * n_cols +
+    cols`` keys (the incremental engine caches them per candidate
+    view), and ``entry_keys`` the matrix's precomputed sorted keys of
+    every row (:func:`csr_entry_keys`); otherwise the window's keys are
+    built on the fly.  A position outside the matrix's shape raises
+    :class:`~repro.exceptions.FeatureError` — linearized keys would
+    silently alias it to another row.
     """
     matrix = matrix.tocsr()
-    n_cols = matrix.shape[1]
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    n_rows, n_cols = matrix.shape
+    first, last = int(rows.min()), int(rows.max())
+    if first < 0 or last >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+        raise FeatureError(
+            f"lookup position outside the {n_rows} x {n_cols} matrix"
+        )
+    start, stop = matrix.indptr[first], matrix.indptr[last + 1]
     if entry_keys is None:
         matrix.sort_indices()
-        row_lengths = np.diff(matrix.indptr)
-        entry_keys = (
-            np.repeat(np.arange(matrix.shape[0], dtype=np.int64), row_lengths)
-            * n_cols
-            + matrix.indices
-        )
+        window = csr_entry_keys(matrix, first, last + 1)
+    else:
+        window = entry_keys[start:stop]
     if query_keys is None:
-        query_keys = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(
-            cols, dtype=np.int64
-        )
-    positions = np.searchsorted(entry_keys, query_keys)
+        query_keys = rows * n_cols + cols
     values = np.zeros(query_keys.size, dtype=np.float64)
-    inside = positions < entry_keys.size
-    hits = inside.copy()
-    hits[inside] = entry_keys[positions[inside]] == query_keys[inside]
-    values[hits] = matrix.data[positions[hits]]
+    if window.size == 0:
+        return values
+    positions = np.minimum(np.searchsorted(window, query_keys), window.size - 1)
+    hits = window[positions] == query_keys
+    values[hits] = matrix.data[start + positions[hits]]
     return values

@@ -28,6 +28,7 @@ without re-exporting either side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -641,33 +642,23 @@ class AlignedPair:
             anchors = self._anchors
         n_left = self.left.slot_count(self.anchor_node_type)
         n_right = self.right.slot_count(self.anchor_node_type)
-        rows: List[int] = []
-        cols: List[int] = []
-        for left_user, right_user in anchors:
-            rows.append(self.left.node_position(self.anchor_node_type, left_user))
-            cols.append(self.right.node_position(self.anchor_node_type, right_user))
-        data = np.ones(len(rows), dtype=np.float64)
+        rows, cols = self.pairs_to_indices(list(anchors))
+        data = np.ones(rows.size, dtype=np.float64)
         return sparse.csr_matrix((data, (rows, cols)), shape=(n_left, n_right))
 
     def pairs_to_indices(
         self, pairs: Sequence[LinkPair]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Convert ``(left_user, right_user)`` pairs to dense index arrays."""
-        left_idx = np.array(
-            [
-                self.left.node_position(self.anchor_node_type, left_user)
-                for left_user, _ in pairs
-            ],
-            dtype=np.int64,
+        """Convert ``(left_user, right_user)`` pairs to dense index arrays.
+
+        Raises :class:`~repro.exceptions.NetworkError` naming the first
+        unknown or tombstoned user — left side first, then right.
+        """
+        user_type = self.anchor_node_type
+        return (
+            self.left.node_positions(user_type, map(itemgetter(0), pairs)),
+            self.right.node_positions(user_type, map(itemgetter(1), pairs)),
         )
-        right_idx = np.array(
-            [
-                self.right.node_position(self.anchor_node_type, right_user)
-                for _, right_user in pairs
-            ],
-            dtype=np.int64,
-        )
-        return left_idx, right_idx
 
     def __repr__(self) -> str:
         return (

@@ -215,6 +215,26 @@ class HeterogeneousNetwork:
                 f"unknown {node_type!r} node {node_id!r} in network {self.name!r}"
             ) from None
 
+    def node_positions(
+        self, node_type: str, node_ids: Iterable[NodeId]
+    ) -> np.ndarray:
+        """Dense indices of many nodes of one type, as an int64 array.
+
+        Raises the :meth:`node_position` error for the first unknown (or
+        tombstoned) id.
+        """
+        self._require_node_type(node_type)
+        try:
+            return np.fromiter(
+                map(self._node_index[node_type].__getitem__, node_ids),
+                dtype=np.int64,
+            )
+        except KeyError as missing:
+            raise NetworkError(
+                f"unknown {node_type!r} node {missing.args[0]!r} in network "
+                f"{self.name!r}"
+            ) from None
+
     def node_epoch(self, node_type: str) -> int:
         """Mutation epoch of one node type (bumps on add/remove/compact)."""
         self._require_node_type(node_type)

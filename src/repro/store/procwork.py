@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import StoreError
-from repro.meta.proximity import csr_values_at, dice_scores
+from repro.meta.proximity import csr_entry_keys, csr_values_at, dice_scores
 from repro.ml.backends import LinearModelState, apply_model_state
 from repro.obs.tracing import NULL_TRACER, JsonlSink, TraceContext, Tracer
 from repro.store.arena import MatrixArena
@@ -150,17 +150,9 @@ class _ArenaWorkerState:
         view = self._structures.get(name)
         if view is None:
             counts = self.arena.get(self.slots[name])
-            row_lengths = np.diff(counts.indptr)
-            entry_keys = (
-                np.repeat(
-                    np.arange(counts.shape[0], dtype=np.int64), row_lengths
-                )
-                * counts.shape[1]
-                + counts.indices
-            )
             view = _StructureView(
                 counts=counts,
-                entry_keys=entry_keys,
+                entry_keys=csr_entry_keys(counts),
                 row_sums=self.arena.get_array(row_sums_slot(name)),
                 col_sums=self.arena.get_array(col_sums_slot(name)),
             )

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.engine import (
     AlignmentSession,
@@ -11,6 +14,9 @@ from repro.engine import (
 )
 from repro.exceptions import AlignmentError
 from repro.matching.greedy import greedy_link_selection
+from repro.networks.aligned import AlignedPair
+from repro.networks.builders import SocialNetworkBuilder
+from repro.networks.schema import FOLLOW, USER
 
 
 def _all_pairs(pair):
@@ -207,3 +213,112 @@ class TestStreamedSelection:
         rights = [pair_[1] for pair_, _ in selected]
         assert len(lefts) == len(set(lefts))
         assert len(rights) == len(set(rights))
+
+
+def _reference_stream(pair, allowed, max_degree_ratio, exclude):
+    """The plain per-pair loop the generator must reproduce exactly."""
+    lefts, rights = pair.left_user_slots(), pair.right_user_slots()
+    degrees = []
+    for network in (pair.left, pair.right):
+        adjacency = network.typed_adjacency(FOLLOW)
+        degrees.append(
+            np.asarray(adjacency.sum(axis=1)).ravel()
+            + np.asarray(adjacency.sum(axis=0)).ravel()
+        )
+    streamed = []
+    for i, left_user in enumerate(lefts):
+        if left_user is None:
+            continue
+        if allowed is None:
+            columns = range(len(rights))
+        else:
+            columns = allowed.indices[allowed.indptr[i] : allowed.indptr[i + 1]]
+        for j in columns:
+            right_user = rights[j]
+            if right_user is None:
+                continue
+            if max_degree_ratio is not None:
+                left_degree = 1.0 + degrees[0][i]
+                right_degree = 1.0 + degrees[1][j]
+                ratio = max(left_degree / right_degree, right_degree / left_degree)
+                if ratio > max_degree_ratio:
+                    continue
+            if (left_user, right_user) in exclude:
+                continue
+            streamed.append((left_user, right_user))
+    return streamed
+
+
+@st.composite
+def _generator_case(draw):
+    """A small pair with tombstones (and re-added ids) on both sides, an
+    optional mask with stale bits on dead columns, a degree ratio and
+    exclusions naming live, dead and unknown users."""
+    tuple_ids = draw(st.booleans())
+    networks, all_ids = [], []
+    for side in ("l", "r"):
+        ids = [
+            (side, k) if tuple_ids else f"{side}{k}"
+            for k in range(draw(st.integers(0, 6)))
+        ]
+        builder = SocialNetworkBuilder(side).add_users(ids)
+        for follower in ids:
+            for followee in ids:
+                if follower != followee and draw(st.booleans()):
+                    builder.follow(follower, followee)
+        network = builder.build()
+        removed = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+        for node_id in removed:
+            network.remove_node(USER, node_id)
+        for node_id in removed:
+            if draw(st.booleans()):
+                network.add_node(USER, node_id)  # a fresh slot for an old id
+        networks.append(network)
+        all_ids.append(ids + [(side, "ghost") if tuple_ids else f"{side}-ghost"])
+    pair = AlignedPair(networks[0], networks[1], [])
+    shape = (len(pair.left_user_slots()), len(pair.right_user_slots()))
+    allowed = None
+    if draw(st.booleans()):
+        dense = np.array(
+            draw(
+                st.lists(
+                    st.lists(st.booleans(), min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0],
+                    max_size=shape[0],
+                )
+            ),
+            dtype=np.float64,
+        ).reshape(shape)
+        allowed = sparse.csr_matrix(dense)
+        if draw(st.booleans()):  # unsorted stored column order
+            for i in range(shape[0]):
+                row = slice(allowed.indptr[i], allowed.indptr[i + 1])
+                allowed.indices[row] = allowed.indices[row][::-1]
+            allowed.has_sorted_indices = False
+    max_degree_ratio = draw(st.sampled_from([None, 1.0, 1.5, 3.0]))
+    exclude = draw(
+        st.sets(st.tuples(st.sampled_from(all_ids[0]), st.sampled_from(all_ids[1])))
+    )
+    return pair, allowed, max_degree_ratio, exclude
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_generator_case(), block_offset=st.integers(0, 40))
+def test_blocks_and_count_match_the_per_pair_loop(case, block_offset):
+    pair, allowed, max_degree_ratio, exclude = case
+    expected = _reference_stream(pair, allowed, max_degree_ratio, exclude)
+    block_size = 1 + block_offset % (len(expected) + 1)
+    generator = CandidateGenerator(
+        pair,
+        block_size=block_size,
+        max_degree_ratio=max_degree_ratio,
+        allowed=allowed,
+        exclude=exclude,
+    )
+    blocks = list(generator.blocks())
+    assert [pair_ for block in blocks for pair_ in block] == expected
+    full, rest = divmod(len(expected), block_size)
+    assert [len(block) for block in blocks] == [block_size] * full + (
+        [rest] if rest else []
+    )
+    assert generator.count() == len(expected)

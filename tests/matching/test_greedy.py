@@ -56,6 +56,10 @@ class TestGreedySelection:
     def test_empty_input(self):
         assert greedy_link_selection([], np.array([])).size == 0
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ConstraintViolationError):
+            greedy_link_selection([("a", "x"), ("b", "y")], np.array([0.9, np.nan]))
+
     def test_score_length_mismatch(self):
         with pytest.raises(ConstraintViolationError):
             greedy_link_selection([("a", "x")], np.array([0.1, 0.2]))
@@ -120,3 +124,77 @@ def test_greedy_half_approximation(problem):
     greedy_value = selection_objective(scores, greedy)
     exact_value = selection_objective(scores, exact)
     assert greedy_value >= 0.5 * exact_value - 1e-9
+
+
+def _reference_greedy(pairs, scores, threshold, blocked_left, blocked_right):
+    """The plain greedy: every link in stable descending score order."""
+    used_left, used_right = set(blocked_left), set(blocked_right)
+    labels = [0] * len(pairs)
+    for index in sorted(range(len(pairs)), key=lambda k: -scores[k]):
+        if scores[index] <= threshold:
+            break
+        left_user, right_user = pairs[index]
+        if left_user in used_left or right_user in used_right:
+            continue
+        labels[index] = 1
+        used_left.add(left_user)
+        used_right.add(right_user)
+    return labels
+
+
+_SCORES = st.one_of(
+    st.sampled_from([-np.inf, 0.0, 0.25, 0.5, 0.75, 1.0, np.inf]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def _greedy_problem(draw):
+    """Links over few users (so ties and conflicts are common), scores
+    that may sit on the threshold or be infinite, and blocked users."""
+    lefts = [f"l{i}" for i in range(draw(st.integers(1, 5)))]
+    rights = [f"r{j}" for j in range(draw(st.integers(1, 5)))]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(lefts), st.sampled_from(rights)), max_size=20
+        )
+    )
+    threshold = draw(st.sampled_from([0.5, 0.0, -np.inf]))
+    scores = np.array(draw(st.lists(_SCORES, min_size=len(pairs), max_size=len(pairs))))
+    mode = draw(st.sampled_from(["mixed", "all-above", "none-above"]))
+    if mode == "all-above":
+        scores = np.where(scores > threshold, scores, np.inf)
+    elif mode == "none-above":
+        scores = np.where(scores > threshold, threshold, scores)
+    blocked_left = draw(st.sets(st.sampled_from(lefts + ["ghost"])))
+    blocked_right = draw(st.sets(st.sampled_from(rights + ["ghost"])))
+    return pairs, scores, threshold, blocked_left, blocked_right
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_long_tie_runs_keep_candidate_order(below):
+    """Ties past a sort's small-input cutoff still break by candidate
+    order, with and without links below the threshold."""
+    order = np.random.default_rng(0).permutation(15 * 15)
+    pairs = [(f"l{k // 15}", f"r{k % 15}") for k in order.tolist()]
+    scores = np.where(order % 4 == 0, 0.9, 0.75)
+    scores[:below] = 0.1
+    labels = greedy_link_selection(pairs, scores, blocked_left={"l3"})
+    assert labels.tolist() == _reference_greedy(pairs, scores, 0.5, {"l3"}, set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_greedy_problem())
+def test_greedy_matches_the_plain_loop(problem):
+    pairs, scores, threshold, blocked_left, blocked_right = problem
+    labels = greedy_link_selection(
+        pairs,
+        scores,
+        threshold=threshold,
+        blocked_left=blocked_left,
+        blocked_right=blocked_right,
+    )
+    assert labels.dtype == np.int64
+    assert labels.tolist() == _reference_greedy(
+        pairs, scores, threshold, blocked_left, blocked_right
+    )

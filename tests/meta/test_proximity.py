@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.exceptions import FeatureError
-from repro.meta.proximity import ProximityMatrix, dice_proximity
+from repro.meta.proximity import (
+    ProximityMatrix,
+    csr_entry_keys,
+    csr_values_at,
+    dice_proximity,
+    dice_scores,
+)
 
 
 def _prox(array) -> ProximityMatrix:
@@ -53,6 +59,38 @@ class TestVectorizedScores:
             prox.scores(np.array([0]), np.array([0, 0]))
 
 
+class TestLookupBounds:
+    @staticmethod
+    def _matrix():
+        # Row 1 holds 7 at column 0: the linearized key 3 that an
+        # unchecked lookup of (0, 3) would alias onto.
+        return sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [7.0, 0.0, 2.0]]))
+
+    def test_column_past_the_shape_raises(self):
+        with pytest.raises(FeatureError):
+            csr_values_at(self._matrix(), np.array([0]), np.array([3]))
+
+    @pytest.mark.parametrize(
+        "rows, cols", [([-1], [0]), ([2], [0]), ([0], [-1]), ([0, 1, 2], [0, 0, 0])]
+    )
+    def test_any_position_outside_the_shape_raises(self, rows, cols):
+        with pytest.raises(FeatureError):
+            csr_values_at(self._matrix(), np.array(rows), np.array(cols))
+
+    def test_negative_row_does_not_wrap_the_row_sums(self):
+        with pytest.raises(FeatureError):
+            ProximityMatrix(self._matrix()).scores(np.array([-1]), np.array([0]))
+
+
+def test_dice_scores_match_the_masked_formula():
+    values = np.array([0.0, 3.0, 1.0, 2.0, 5.0])
+    denominators = np.array([0.0, 7.0, 0.0, 3.0, 11.0])
+    nonzero = denominators > 0
+    expected = np.zeros(5)
+    expected[nonzero] = 2.0 * values[nonzero] / denominators[nonzero]
+    assert dice_scores(values, denominators).tobytes() == expected.tobytes()
+
+
 class TestDense:
     def test_matches_scalar(self):
         counts = np.array([[2.0, 1.0], [0.0, 4.0]])
@@ -91,3 +129,91 @@ def test_zero_count_implies_zero_score(data):
     counts = np.asarray(data, dtype=float)
     dense = dice_proximity(sparse.csr_matrix(counts)).dense()
     assert np.all(dense[counts == 0] == 0.0)
+
+
+@st.composite
+def _lookup_case(draw):
+    """A small CSR matrix (sorted or not, int32 or int64 indices) and a
+    batch of (row, col) queries, some possibly outside its shape."""
+    n_rows = draw(st.integers(0, 6))
+    n_cols = draw(st.integers(0, 6))
+    dense = np.zeros((n_rows, n_cols))
+    indices, indptr = [], [0]
+    shuffle = draw(st.booleans())
+    for i in range(n_rows):
+        columns = draw(st.lists(st.integers(0, max(n_cols - 1, 0)), unique=True))
+        columns = [j for j in columns if j < n_cols]
+        if not shuffle:
+            columns.sort()
+        for j in columns:
+            dense[i, j] = draw(st.integers(1, 9))
+        indices.extend(columns)
+        indptr.append(len(indices))
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    matrix = sparse.csr_matrix(
+        (
+            dense[np.repeat(np.arange(n_rows), np.diff(indptr)), indices]
+            if indices
+            else np.zeros(0),
+            np.asarray(indices, dtype=index_dtype),
+            np.asarray(indptr, dtype=index_dtype),
+        ),
+        shape=(n_rows, n_cols),
+    )
+    outside = draw(st.booleans())
+    low, pad = (-1, 1) if outside else (0, 0)
+    row_high, col_high = n_rows - 1 + pad, n_cols - 1 + pad
+    size = draw(st.integers(0, 12)) if min(row_high, col_high) >= low else 0
+    rows = draw(
+        st.lists(st.integers(low, max(row_high, low)), min_size=size, max_size=size)
+    )
+    cols = draw(
+        st.lists(st.integers(low, max(col_high, low)), min_size=size, max_size=size)
+    )
+    rows, cols = (np.asarray(values, dtype=np.int64) for values in (rows, cols))
+    return matrix, dense, rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_lookup_case(),
+    precomputed_entries=st.booleans(),
+    precomputed_queries=st.booleans(),
+)
+def test_csr_values_at_matches_dense_indexing(
+    case, precomputed_entries, precomputed_queries
+):
+    """Windowed batch lookup == dense indexing, for any query batch."""
+    matrix, dense, rows, cols = case
+    kwargs = {}
+    if precomputed_entries:
+        matrix.sort_indices()
+        kwargs["entry_keys"] = csr_entry_keys(matrix)
+    if precomputed_queries:
+        kwargs["query_keys"] = rows * matrix.shape[1] + cols
+    n_rows, n_cols = dense.shape
+    inside = all(0 <= i < n_rows for i in rows) and all(0 <= j < n_cols for j in cols)
+    if not inside:
+        with pytest.raises(FeatureError):
+            csr_values_at(matrix, rows, cols, **kwargs)
+        return
+    values = csr_values_at(matrix, rows, cols, **kwargs)
+    expected = np.array([dense[i, j] for i, j in zip(rows, cols)], dtype=np.float64)
+    assert values.dtype == np.float64
+    assert values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_lookup_case(), start=st.integers(0, 6), stop=st.integers(0, 6))
+def test_csr_entry_keys_window_is_a_slice_of_the_full_keys(case, start, stop):
+    matrix = case[0]
+    matrix.sort_indices()
+    start = min(start, matrix.shape[0])
+    stop = min(max(stop, start), matrix.shape[0])
+    full = csr_entry_keys(matrix)
+    window = csr_entry_keys(matrix, start, stop)
+    assert window.dtype == np.int64
+    assert np.array_equal(
+        window, full[matrix.indptr[start] : matrix.indptr[stop]]
+    )
+    assert np.all(np.diff(full) > 0)

@@ -1,11 +1,14 @@
 """Tests for repro.networks.aligned."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import AlignmentError
+from repro.exceptions import AlignmentError, NetworkError
 from repro.networks.aligned import AlignedPair
 from repro.networks.builders import SocialNetworkBuilder
-from repro.networks.schema import LOCATION, TIMESTAMP
+from repro.networks.schema import LOCATION, TIMESTAMP, USER
 
 
 def _simple_pair():
@@ -104,3 +107,35 @@ class TestAnchorMatrix:
 
     def test_repr(self):
         assert "anchors=1" in repr(_simple_pair())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    removed=st.sets(st.sampled_from(["l0", "l1", "r0", "r1"])),
+    pairs=st.lists(
+        st.tuples(
+            st.sampled_from(["l0", "l1", "lx"]), st.sampled_from(["r0", "r1", "rx"])
+        ),
+        max_size=8,
+    ),
+)
+def test_pairs_to_indices_matches_slot_lookup(removed, pairs):
+    """Batch resolution == a per-user slot lookup, errors included."""
+    pair = _simple_pair()
+    pair.left.add_node(USER, "l2")  # a slot past the removed ones
+    for user in sorted(removed):
+        network = pair.left if user.startswith("l") else pair.right
+        network.remove_node(USER, user)
+    lefts = {u: i for i, u in enumerate(pair.left_user_slots()) if u is not None}
+    rights = {u: j for j, u in enumerate(pair.right_user_slots()) if u is not None}
+    missing = [u for u, _ in pairs if u not in lefts] + [
+        v for _, v in pairs if v not in rights
+    ]
+    if missing:
+        with pytest.raises(NetworkError, match=repr(missing[0])):
+            pair.pairs_to_indices(pairs)
+        return
+    left_idx, right_idx = pair.pairs_to_indices(pairs)
+    assert left_idx.dtype == right_idx.dtype == np.int64
+    assert left_idx.tolist() == [lefts[u] for u, _ in pairs]
+    assert right_idx.tolist() == [rights[v] for _, v in pairs]

@@ -64,6 +64,24 @@ class TestNodes:
         with pytest.raises(NetworkError, match="unknown"):
             net.node_position(USER, "ghost")
 
+    def test_node_positions_batch(self, net):
+        net.remove_node(USER, "u1")
+        net.add_node(USER, "u1")  # re-added into a fresh slot
+        positions = net.node_positions(USER, ["u2", "u0", "u2", "u1"])
+        assert positions.dtype == np.int64
+        assert positions.tolist() == [2, 0, 2, 3]
+
+    def test_node_positions_empty(self, net):
+        positions = net.node_positions(USER, iter(()))
+        assert positions.dtype == np.int64 and positions.shape == (0,)
+
+    def test_node_positions_name_the_first_missing_id(self, net):
+        net.remove_node(USER, "u1")  # tombstoned: no longer resolvable
+        with pytest.raises(NetworkError, match="'u1'"):
+            net.node_positions(USER, ["u0", "u1", "ghost"])
+        with pytest.raises(NetworkError, match="'ghost'"):
+            net.node_positions(USER, ["u2", "ghost", "u1"])
+
     def test_nodes_returns_copy(self, net):
         net.nodes(USER).append("intruder")
         assert net.node_count(USER) == 3
