@@ -30,10 +30,10 @@ Three backends implement the protocol:
   ``gram``/``xt_dot``/``scores`` fast paths when no feature map is
   configured, preserving the dirty-block score cache);
 * :class:`SVMBackend` — a soft-margin linear SVM over streamed blocks,
-  trained by :class:`StreamedLinearSVC`: the same LIBLINEAR dual
-  coordinate descent as :class:`~repro.ml.svm.LinearSVC` but
-  block-resident rather than matrix-resident — bit-identical given the
-  seed and the concatenated row order;
+  trained by :class:`~repro.ml.svm.LinearSVC` (re-exported here under
+  its streaming name ``StreamedLinearSVC``), which never needs the
+  rows in one matrix — bit-identical given the seed and the
+  concatenated row order;
 * either backend composed with a **feature map** (``feature_map=``):
   :class:`~repro.ml.kernels.NystroemMap` fits its landmarks from a
   streamed reservoir sample, the other explicit maps need only the
@@ -55,7 +55,6 @@ checkpoints and resume stays byte-identical for non-ridge models too.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -69,7 +68,8 @@ from repro.ml.kernels import (
 )
 from repro.ml.ridge import GramRidgeSolver
 from repro.ml.scaling import StandardScaler
-from repro.ml.svm import _unshrink_verify, dual_coordinate_descent
+from repro.ml.svm import LinearSVC
+from repro.ml.svm import StreamedLinearSVC  # noqa: F401 - re-exported
 from repro.obs.metrics import global_registry
 
 #: Model backends addressable by name (CLI / MethodSpec knobs).
@@ -125,40 +125,6 @@ class DenseBlockSource:
             if int(b) != 0:
                 raise ModelError(f"block index {b} out of range")
             yield 0, self.X
-
-
-def _source_spans(source) -> List[Tuple[int, int]]:
-    """``(offset, length)`` partition of a block source.
-
-    Sources exposing :meth:`block_spans` (the streamed task, the dense
-    adapter) answer without reading features; anything else pays one
-    metadata-only pass over ``feature_blocks()``.
-    """
-    if hasattr(source, "block_spans"):
-        return [(int(o), int(n)) for o, n in source.block_spans()]
-    return [
-        (int(offset), int(X.shape[0]))
-        for offset, X in source.feature_blocks()
-    ]
-
-
-def _selected_blocks(source, block_indices, spans):
-    """Selective block pass with a filtered-sweep fallback.
-
-    Sources without :meth:`selected_feature_blocks` stream everything
-    and drop unrequested blocks — correct, just without the read
-    savings.  Requested blocks are yielded in stream order either way.
-    """
-    wanted = sorted(int(b) for b in block_indices)
-    if not wanted:
-        return
-    if hasattr(source, "selected_feature_blocks"):
-        yield from source.selected_feature_blocks(wanted)
-        return
-    offsets = {spans[b][0] for b in wanted}
-    for offset, X in source.feature_blocks():
-        if int(offset) in offsets:
-            yield offset, X
 
 
 def as_block_source(task_or_X) -> object:
@@ -245,574 +211,6 @@ def _stream_scores(source, state: LinearModelState) -> np.ndarray:
     for offset, X in source.feature_blocks():
         scores[offset: offset + X.shape[0]] = apply_model_state(state, X)
     return scores
-
-
-# ----------------------------------------------------------------------
-# The streamed SVM optimizer
-# ----------------------------------------------------------------------
-class StreamedLinearSVC:
-    """Soft-margin linear SVM trained block-resident.
-
-    Runs the same dual-coordinate-descent updates as
-    :class:`~repro.ml.svm.LinearSVC` (they share
-    :func:`~repro.ml.svm.dual_coordinate_descent`), but the design
-    matrix stays a *list of row blocks* — the contiguous ``n x d`` copy
-    is never allocated, so the optimizer composes with block streams
-    and cached feature blocks.  Training is bit-identical to the dense
-    optimizer given the seed and the concatenated row order, for any
-    block partition.
-
-    Parameters mirror :class:`~repro.ml.svm.LinearSVC`;
-    ``sample_weight`` on :meth:`fit_blocks` additionally scales each
-    sample's box constraint to ``C * weight_i`` (per-sample cost
-    weighting — the PU positive-upweighting analog for SVMs), and
-    ``shrink`` selects the certified working-set sweep (bit-identical
-    to the full sweep; see :mod:`repro.ml.svm`).
-
-    :meth:`fit_source` is the working-set streamed fit: instead of
-    holding every design block for the whole optimization, it keeps a
-    compact resident cache of only the rows the sweep still visits —
-    screened-out duals give up their rows after each epoch, and blocks
-    whose every remaining dual is screened are never read from the
-    source again (the ``svm.blocks_skipped`` counter).  All skips are
-    certificate-backed no-ops of the unshrunk sweep, so the result is
-    bit-identical to :meth:`fit_blocks` on the materialized stream for
-    the same seed and row order.
-    """
-
-    def __init__(
-        self,
-        C: float = 1.0,
-        max_iter: int = 1000,
-        tol: float = 1e-4,
-        fit_intercept: bool = True,
-        seed: int = 0,
-        shrink: bool = True,
-    ) -> None:
-        if C <= 0:
-            raise ModelError(f"C must be > 0, got {C}")
-        if max_iter < 1:
-            raise ModelError("max_iter must be >= 1")
-        self.C = float(C)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
-        self.fit_intercept = bool(fit_intercept)
-        self.seed = int(seed)
-        self.shrink = bool(shrink)
-        self.coef_: Optional[np.ndarray] = None
-        self.intercept_: float = 0.0
-        self.n_iter_: int = 0
-        self.shrink_stats_: Dict = {}
-
-    def fit_blocks(
-        self,
-        blocks: Sequence[np.ndarray],
-        y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
-    ) -> "StreamedLinearSVC":
-        """Fit on ``{0, 1}``-labeled rows held as a block list."""
-        validated: List[np.ndarray] = []
-        n_features: Optional[int] = None
-        for block in blocks:
-            block = np.asarray(block, dtype=np.float64)
-            if block.ndim != 2:
-                raise ModelError("design blocks must be 2-D")
-            if n_features is None:
-                n_features = block.shape[1]
-            elif block.shape[1] != n_features:
-                raise ModelError(
-                    f"inconsistent block widths: {block.shape[1]} vs "
-                    f"{n_features}"
-                )
-            validated.append(block)
-        n_samples = sum(block.shape[0] for block in validated)
-        if n_samples == 0 or n_features is None:
-            raise ModelError("cannot fit on zero samples")
-        y = np.asarray(y).ravel()
-        if y.shape[0] != n_samples:
-            raise ModelError(f"{y.shape[0]} labels for {n_samples} samples")
-        unique = set(np.unique(y).tolist())
-        if not unique <= {0, 1}:
-            raise ModelError(
-                f"labels must be in {{0, 1}}, got {sorted(unique)}"
-            )
-        signed = np.where(y > 0, 1.0, -1.0)
-        if len(set(signed.tolist())) < 2:
-            # Degenerate single-class training set: behave like the
-            # majority-class predictor (hyperplane pushed to one side) —
-            # exactly LinearSVC's handling.
-            self.coef_ = np.zeros(n_features)
-            self.intercept_ = float(signed[0]) * 1.0
-            self.n_iter_ = 0
-            self.shrink_stats_ = {}
-            return self
-
-        sample_C = None
-        if sample_weight is not None:
-            weights = np.asarray(sample_weight, dtype=np.float64).ravel()
-            if weights.shape[0] != n_samples:
-                raise ModelError(
-                    f"{weights.shape[0]} weights for {n_samples} samples"
-                )
-            if np.any(weights < 0):
-                raise ModelError("sample weights must be >= 0")
-            sample_C = self.C * weights
-
-        if self.fit_intercept:
-            design = [
-                np.hstack([block, np.ones((block.shape[0], 1))])
-                for block in validated
-            ]
-        else:
-            design = validated
-        self.shrink_stats_ = {}
-        w, self.n_iter_ = dual_coordinate_descent(
-            design,
-            signed,
-            C=self.C,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            seed=self.seed,
-            sample_C=sample_C,
-            shrink=self.shrink,
-            stats=self.shrink_stats_ if self.shrink else None,
-        )
-        if self.fit_intercept:
-            self.coef_ = w[:-1].copy()
-            self.intercept_ = float(w[-1])
-        else:
-            self.coef_ = w.copy()
-            self.intercept_ = 0.0
-        return self
-
-    def fit_source(
-        self,
-        source,
-        y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
-        sample_C: Optional[np.ndarray] = None,
-        prepare=None,
-        registry=None,
-    ) -> "StreamedLinearSVC":
-        """Working-set fit straight off a re-readable block source.
-
-        ``source`` is anything with ``feature_blocks()`` (ideally also
-        ``block_spans()``/``selected_feature_blocks()`` so unneeded
-        blocks are never extracted); ``prepare`` optionally maps each
-        raw block to design rows (feature map + scaling).  ``sample_C``
-        gives per-sample box constraints directly (overrides
-        ``sample_weight``'s ``C * w_i``).
-
-        The optimizer runs the same certified sweep as
-        :func:`~repro.ml.svm.dual_coordinate_descent` ``(shrink=True)``
-        but holds only the rows the sweep can still visit: after each
-        epoch the resident store is rebuilt with certificate-covered
-        rows evicted, and only blocks owning a still-needed row are
-        re-read.  ``registry`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`) receives the
-        ``svm.blocks_skipped`` counter and ``phase.svm_epoch``
-        histogram.  Bit-identical to :meth:`fit_blocks` on the
-        materialized stream for the same seed and row order.
-        """
-        spans = _source_spans(source)
-        n_samples = sum(length for _, length in spans)
-        if n_samples == 0:
-            raise ModelError("cannot fit on zero samples")
-        span_offsets = np.array([offset for offset, _ in spans],
-                                dtype=np.int64)
-        n_blocks = len(spans)
-        y = np.asarray(y).ravel()
-        if y.shape[0] != n_samples:
-            raise ModelError(f"{y.shape[0]} labels for {n_samples} samples")
-        unique = set(np.unique(y).tolist())
-        if not unique <= {0, 1}:
-            raise ModelError(
-                f"labels must be in {{0, 1}}, got {sorted(unique)}"
-            )
-        signed = np.where(y > 0, 1.0, -1.0)
-
-        def prep(X: np.ndarray) -> np.ndarray:
-            Z = np.asarray(X, dtype=np.float64)
-            if prepare is not None:
-                Z = np.asarray(prepare(Z), dtype=np.float64)
-            if self.fit_intercept:
-                Z = np.hstack([Z, np.ones((Z.shape[0], 1))])
-            return Z
-
-        if len(set(signed.tolist())) < 2:
-            # Degenerate single-class set: constant majority predictor,
-            # exactly the fit_blocks handling.  One block read for the
-            # design width.
-            for _, X in _selected_blocks(source, [0], spans):
-                width = prep(X).shape[1]
-                break
-            if self.fit_intercept:
-                width -= 1
-            self.coef_ = np.zeros(width)
-            self.intercept_ = float(signed[0]) * 1.0
-            self.n_iter_ = 0
-            self.shrink_stats_ = {}
-            return self
-
-        if sample_C is not None:
-            box = np.asarray(sample_C, dtype=np.float64).ravel()
-            if box.shape[0] != n_samples:
-                raise ModelError(
-                    f"{box.shape[0]} box constraints for "
-                    f"{n_samples} samples"
-                )
-            if np.any(box < 0) or not np.all(np.isfinite(box)):
-                raise ModelError("sample_C must be finite and >= 0")
-            box = box.copy()
-        elif sample_weight is not None:
-            weights = np.asarray(sample_weight, dtype=np.float64).ravel()
-            if weights.shape[0] != n_samples:
-                raise ModelError(
-                    f"{weights.shape[0]} weights for {n_samples} samples"
-                )
-            if np.any(weights < 0):
-                raise ModelError("sample weights must be >= 0")
-            box = self.C * weights
-        else:
-            box = np.full(n_samples, self.C)
-
-        # --- pass 0: full materialization (epoch 1 visits everything) --
-        dim = None
-        store = None
-        for offset, X in _selected_blocks(source, range(n_blocks), spans):
-            Z = prep(X)
-            if store is None:
-                dim = Z.shape[1]
-                store = np.empty((n_samples, dim))
-            elif Z.shape[1] != dim:
-                raise ModelError(
-                    f"inconsistent block widths: {Z.shape[1]} vs {dim}"
-                )
-            store[offset:offset + Z.shape[0]] = Z
-        q_diag = np.einsum("ij,ij->i", store, store)
-
-        self.shrink_stats_ = {}
-        if not self.shrink:
-            w, self.n_iter_ = dual_coordinate_descent(
-                [store], signed, C=self.C, max_iter=self.max_iter,
-                tol=self.tol, seed=self.seed, sample_C=box
-                if (sample_C is not None or sample_weight is not None)
-                else None,
-                shrink=False,
-            )
-            if self.fit_intercept:
-                self.coef_ = w[:-1].copy()
-                self.intercept_ = float(w[-1])
-            else:
-                self.coef_ = w.copy()
-                self.intercept_ = 0.0
-            return self
-
-        counter = (
-            registry.counter("svm.blocks_skipped")
-            if registry is not None else None
-        )
-        histogram = (
-            registry.histogram("phase.svm_epoch")
-            if registry is not None else None
-        )
-
-        # Mirrors the certified sweep in dual_coordinate_descent; the
-        # arithmetic of every active visit is identical, and certified
-        # skips are exact no-ops, so any divergence in *which* rows get
-        # screened (cached matvec shapes differ) cannot change the
-        # trajectory.
-        eps = float(np.finfo(np.float64).eps)
-        row_norm = np.sqrt(q_diag)
-        dead = (q_diag == 0.0) | (box == 0.0)
-        screenable = np.zeros(n_samples, dtype=bool)
-        screen_slack = np.zeros(n_samples)
-        screen_snap = np.zeros(n_samples)
-        alpha = np.zeros(n_samples)
-        w = np.zeros(dim)
-        drift_total = 0.0
-        budget = 0.0
-        rng = np.random.default_rng(self.seed)
-        order = np.arange(n_samples)
-        epochs_run = 0
-        active_visits = 0
-        skipped_visits = 0
-        rescreens = 0
-        blocks_read = n_blocks  # pass 0
-        blocks_skipped = 0
-        row_fetches = 0
-        resident_pos = np.arange(n_samples)
-        overlay: Dict[int, np.ndarray] = {}
-        resident_peak = n_samples
-
-        def homes_of(indices: np.ndarray) -> np.ndarray:
-            return np.unique(
-                np.searchsorted(span_offsets, indices, side="right") - 1
-            )
-
-        def refresh(cand: np.ndarray) -> None:
-            """Recompute certificates; fetch non-resident rows."""
-            nonlocal blocks_read, row_fetches
-            parts: List[Tuple[np.ndarray, np.ndarray]] = []
-            slots = resident_pos[cand]
-            res = cand[slots >= 0]
-            if res.size:
-                parts.append((res, store[resident_pos[res]]))
-            rest = cand[slots < 0]
-            if rest.size:
-                in_overlay = [i for i in rest.tolist() if i in overlay]
-                if in_overlay:
-                    parts.append((
-                        np.asarray(in_overlay, dtype=np.int64),
-                        np.stack([overlay[i] for i in in_overlay]),
-                    ))
-                missing = np.asarray(
-                    [i for i in rest.tolist() if i not in overlay],
-                    dtype=np.int64,
-                )
-                if missing.size:
-                    homes = homes_of(missing)
-                    for offset, X in _selected_blocks(
-                        source, homes.tolist(), spans
-                    ):
-                        Z = prep(X)
-                        lo = int(offset)
-                        sel = missing[
-                            (missing >= lo) & (missing < lo + Z.shape[0])
-                        ]
-                        rows = Z[sel - lo]
-                        for k, i in enumerate(sel.tolist()):
-                            overlay[int(i)] = rows[k]
-                        parts.append((sel, rows))
-                        row_fetches += int(sel.size)
-                    blocks_read += int(homes.size)
-            for sel, rows in parts:
-                grads = signed[sel] * (rows @ w) - 1.0
-                slack = np.where(alpha[sel] == 0.0, grads, -grads)
-                fresh = slack > 0.0
-                sub = sel[fresh]
-                screenable[sub] = True
-                screen_slack[sub] = slack[fresh]
-                screen_snap[sub] = drift_total
-                screenable[sel[~fresh]] = False
-
-        converged_at = self.max_iter
-        for iteration in range(self.max_iter):
-            epoch_started = time.perf_counter()
-            rng.shuffle(order)
-            max_violation = 0.0
-            epoch_start_drift = drift_total
-
-            if iteration > 0:
-                # Rebuild the resident store for this epoch: evict only
-                # rows whose certificate covers several epochs of drift
-                # at the current rate (16 * budget = last epoch's
-                # drift), so evicted rows do not bounce straight back
-                # through a block fetch.  Resident pinned rows get a
-                # free certificate refresh first — slack is measured at
-                # eviction time, where it is largest.
-                horizon = drift_total + 128.0 * budget
-                guard_h = 64.0 * eps * dim * row_norm * (horizon + 1.0)
-                covers_h = screenable & (
-                    screen_slack - row_norm * (horizon - screen_snap)
-                    > guard_h
-                )
-                pinned = ~dead & ((alpha == 0.0) | (alpha == box))
-                local = resident_pos >= 0
-                if overlay:
-                    local = local.copy()
-                    local[np.fromiter(overlay, dtype=np.int64)] = True
-                stale_h = pinned & local & ~covers_h
-                if stale_h.any():
-                    refresh(np.flatnonzero(stale_h))
-                    covers_h = screenable & (
-                        screen_slack - row_norm * (horizon - screen_snap)
-                        > guard_h
-                    )
-                needed = np.flatnonzero(~dead & ~covers_h)
-                new_store = np.empty((needed.size, dim))
-                new_pos = np.full(n_samples, -1, dtype=np.int64)
-                new_pos[needed] = np.arange(needed.size)
-                held = needed[resident_pos[needed] >= 0]
-                new_store[new_pos[held]] = store[resident_pos[held]]
-                missing_list = []
-                for i in needed[resident_pos[needed] < 0].tolist():
-                    row = overlay.get(int(i))
-                    if row is not None:
-                        new_store[new_pos[i]] = row
-                    else:
-                        missing_list.append(i)
-                missing = np.asarray(missing_list, dtype=np.int64)
-                if missing.size:
-                    fetch_homes = homes_of(missing)
-                    for offset, X in _selected_blocks(
-                        source, fetch_homes.tolist(), spans
-                    ):
-                        Z = prep(X)
-                        lo = int(offset)
-                        sel = missing[
-                            (missing >= lo) & (missing < lo + Z.shape[0])
-                        ]
-                        new_store[new_pos[sel]] = Z[sel - lo]
-                        row_fetches += int(sel.size)
-                    blocks_read += int(fetch_homes.size)
-                needed_homes = (
-                    homes_of(needed) if needed.size
-                    else np.empty(0, dtype=np.int64)
-                )
-                epoch_skipped = n_blocks - int(needed_homes.size)
-                blocks_skipped += epoch_skipped
-                if counter is not None and epoch_skipped:
-                    counter.inc(epoch_skipped)
-                store = new_store
-                resident_pos = new_pos
-                overlay = {}
-            resident_peak = max(
-                resident_peak, store.shape[0] + len(overlay)
-            )
-
-            cursor = 0
-            rounds = 0
-            while cursor < n_samples:
-                rounds += 1
-                if rounds > 1:
-                    rescreens += 1
-                if rounds % 32 == 0:
-                    budget *= 2.0  # runaway-round safeguard
-                allowance = drift_total + budget
-                guard = 64.0 * eps * dim * row_norm * (allowance + 1.0)
-                covers_round = (
-                    screen_slack - row_norm * (allowance - screen_snap)
-                    > guard
-                )
-                stale = (
-                    ~dead
-                    & ((alpha == 0.0) | (alpha == box))
-                    & ~(screenable & covers_round)
-                )
-                if stale.any():
-                    refresh(np.flatnonzero(stale))
-                    covers_round = (
-                        screen_slack - row_norm * (allowance - screen_snap)
-                        > guard
-                    )
-                certified = screenable & covers_round
-                visits = order[cursor:]
-                if not certified[visits].any():
-                    allowance = np.inf
-                active_rel = np.flatnonzero(~(dead | certified)[visits])
-                breached = False
-                for k in range(active_rel.size):
-                    rel = int(active_rel[k])
-                    i = int(visits[rel])
-                    active_visits += 1
-                    slot = resident_pos[i]
-                    row = store[slot] if slot >= 0 else overlay[i]
-                    margin = signed[i] * (row @ w)
-                    gradient = margin - 1.0
-                    a = alpha[i]
-                    if a == 0.0:
-                        projected = min(gradient, 0.0)
-                    elif a == box[i]:
-                        projected = max(gradient, 0.0)
-                    else:
-                        projected = gradient
-                    max_violation = max(max_violation, abs(projected))
-                    if projected != 0.0:
-                        screenable[i] = False
-                        alpha[i] = min(
-                            max(a - gradient / q_diag[i], 0.0), box[i]
-                        )
-                        delta = (alpha[i] - a) * signed[i]
-                        if delta != 0.0:
-                            w += delta * row
-                            drift_total += abs(delta) * row_norm[i]
-                            if drift_total > allowance:
-                                skipped_visits += rel - k
-                                cursor += rel + 1
-                                breached = True
-                                break
-                    elif a == 0.0 or a == box[i]:
-                        slack = gradient if a == 0.0 else -gradient
-                        if slack > 0.0:
-                            screenable[i] = True
-                            screen_slack[i] = slack
-                            screen_snap[i] = drift_total
-                        else:
-                            screenable[i] = False
-                if not breached:
-                    skipped_visits += visits.size - active_rel.size
-                    cursor = n_samples
-            epochs_run += 1
-            budget = (drift_total - epoch_start_drift) / 16.0
-            if histogram is not None:
-                histogram.observe(time.perf_counter() - epoch_started)
-            if max_violation < self.tol:
-                converged_at = iteration + 1
-                break
-
-        resident_final = int(store.shape[0]) + len(overlay)
-
-        # Unshrink+verify: re-read only the blocks holding a screened
-        # dual and validate every certificate at the final weights.
-        screened = np.flatnonzero(screenable)
-        verify_checked = 0
-        verify_max_residual = 0.0
-        if screened.size:
-            verify_homes = homes_of(screened)
-            verify_checked, verify_max_residual = _unshrink_verify(
-                (
-                    (offset, prep(X))
-                    for offset, X in _selected_blocks(
-                        source, verify_homes.tolist(), spans
-                    )
-                ),
-                signed, w, alpha, box, row_norm,
-                screenable, screen_slack, screen_snap, drift_total,
-                dim, eps,
-            )
-            blocks_read += int(verify_homes.size)
-
-        self.shrink_stats_ = {
-            "epochs": epochs_run,
-            "active_visits": active_visits,
-            "skipped_visits": skipped_visits,
-            "rescreens": rescreens,
-            "screened_final": int(np.count_nonzero(screenable)),
-            "verify_checked": verify_checked,
-            "verify_max_residual": verify_max_residual,
-            "drift": drift_total,
-            "n_samples": n_samples,
-            "blocks_total": n_blocks,
-            "blocks_read": blocks_read,
-            "blocks_skipped": blocks_skipped,
-            "row_fetches": row_fetches,
-            "resident_peak": int(resident_peak),
-            "resident_final": resident_final,
-        }
-        self.n_iter_ = converged_at
-        if self.fit_intercept:
-            self.coef_ = w[:-1].copy()
-            self.intercept_ = float(w[-1])
-        else:
-            self.coef_ = w.copy()
-            self.intercept_ = 0.0
-        return self
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "StreamedLinearSVC":
-        """Dense convenience wrapper: one block."""
-        return self.fit_blocks([np.asarray(X, dtype=np.float64)], y)
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Signed distances ``w·x + b``."""
-        if self.coef_ is None:
-            raise NotFittedError("StreamedLinearSVC.fit has not been called")
-        X = np.asarray(X, dtype=np.float64)
-        return X @ self.coef_ + self.intercept_
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted ``{0, 1}`` labels."""
-        return (self.decision_function(X) > 0).astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -1032,13 +430,51 @@ class RidgeBackend(ModelBackend):
         self._restore_map(state)
 
 
+def _fit_scaler(blocks) -> StandardScaler:
+    """Standardization statistics over an iterable of mapped blocks.
+
+    A single block dense-fits :class:`StandardScaler`, bit-identical to
+    the dense baseline's scaler; several blocks accumulate moments in
+    stream order, so the blocks are never concatenated.
+    """
+    first: Optional[np.ndarray] = None
+    n_blocks = 0
+    count = 0
+    total = None
+    total_sq = None
+    for block in blocks:
+        n_blocks += 1
+        if n_blocks == 1:
+            first = block
+        if total is None:
+            total = block.sum(axis=0)
+            total_sq = (block * block).sum(axis=0)
+        else:
+            total += block.sum(axis=0)
+            total_sq += (block * block).sum(axis=0)
+        count += block.shape[0]
+    if count == 0:
+        raise ModelError("cannot fit scaler on zero rows")
+    if n_blocks == 1:
+        return StandardScaler().fit(first)
+    scaler = StandardScaler()
+    mean = total / count
+    variance = np.maximum(total_sq / count - mean * mean, 0.0)
+    std = np.sqrt(variance)
+    std[std == 0] = 1.0
+    scaler.mean_ = mean
+    scaler.scale_ = std
+    return scaler
+
+
 class SVMBackend(ModelBackend):
     """Soft-margin linear SVM behind the backend seam.
 
-    Trains a :class:`StreamedLinearSVC` on the bound source's training
-    rows — gathered from the block stream, never via a materialized
-    ``|H| x d`` matrix — optionally standardized (statistics from the
-    training rows only, the leakage-safe convention of the dense
+    Trains a :class:`~repro.ml.svm.LinearSVC` on the bound source's
+    training rows — gathered from the block stream, never via a
+    materialized ``|H| x d`` matrix — optionally standardized
+    (statistics from the training rows only, the leakage-safe
+    convention of the dense
     :class:`~repro.core.svm_baselines.SVMAligner`) and optionally
     kernelized through the composed feature map.  Scoring streams every
     block through :func:`apply_model_state`, which a store-backed
@@ -1046,16 +482,17 @@ class SVMBackend(ModelBackend):
 
     With ``train_indices`` (the supervised mode used by the SVM
     baselines and by the active loop, where the clamped set is the
-    training set), the fit gathers exactly those rows; without it the
-    optimizer consumes the whole stream block-resident.
+    training set), the fit gathers exactly those rows and solves over
+    them in memory; without it the optimizer streams the whole source
+    through :meth:`~repro.ml.svm.LinearSVC.fit_source`.
 
     ``mode="pu"`` is the positive-unlabeled variant: the fit trains on
     the clamped rows at cost ``C`` *plus every other streamed candidate
     row as a weighted soft negative* at cost ``unlabeled_C`` (the
     biased-SVM formulation), through
-    :meth:`StreamedLinearSVC.fit_source` — an all-of-H dual pass kept
-    tractable by the certified working-set sweep, its compact resident
-    row cache, and block screening (``svm.blocks_skipped`` /
+    :meth:`~repro.ml.svm.LinearSVC.fit_source` — an all-of-H dual pass
+    kept tractable by the certified working-set sweep, its compact
+    resident row cache, and block screening (``svm.blocks_skipped`` /
     ``phase.svm_epoch`` in the bound session's metrics registry).
     """
 
@@ -1092,11 +529,11 @@ class SVMBackend(ModelBackend):
         #: PU backends receive the clamped indices (they set the
         #: positive cost band) but train on every candidate row.
         self.trains_on = "labeled" if mode == "supervised" else "pu"
-        self.svc_: Optional[StreamedLinearSVC] = None
+        self.svc_: Optional[LinearSVC] = None
         self.scaler_: Optional[StandardScaler] = None
         self._sample_weight: Optional[np.ndarray] = None
         self._train_indices: Optional[np.ndarray] = None
-        self._train_blocks: Optional[List[np.ndarray]] = None
+        self._train_rows: Optional[np.ndarray] = None
         self._fit_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._score_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -1118,106 +555,34 @@ class SVMBackend(ModelBackend):
         # repeat calls with unchanged inputs (the alternation loop's
         # fixed clamped labels) return the cached result instead of
         # re-running the optimizer and another full block sweep.
-        self._train_blocks: Optional[List[np.ndarray]] = None
-        self._fit_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._score_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._train_rows = None
+        self._fit_cache = None
+        self._score_cache = None
 
-    def _training_blocks(
-        self, y: np.ndarray
-    ) -> Tuple[List[np.ndarray], np.ndarray, Optional[np.ndarray]]:
-        """(mapped training blocks, labels, weights) for the current fit.
+    def _gathered_rows(self) -> np.ndarray:
+        """The mapped training rows, gathered once per :meth:`begin`."""
+        if self._train_rows is None:
+            raw = gather_rows(self._source, self._train_indices)
+            self._train_rows = self._transform(raw)
+        return self._train_rows
 
-        The mapped blocks are gathered once per :meth:`begin` and
-        reused across the round's solve iterations; only the labels are
-        re-sliced from the evolving ``y``.
-        """
+    def _scaled(self, Z: np.ndarray) -> np.ndarray:
+        """Apply the fitted scaler (identity when scaling is off)."""
+        return self.scaler_.transform(Z) if self.scaler_ is not None else Z
+
+    def _pu_costs(self) -> Optional[np.ndarray]:
+        """PU box constraints: ``C`` on clamped rows, ``unlabeled_C``
+        elsewhere, times any sample weights; ``None`` when supervised."""
+        if self.mode != "pu":
+            return None
+        box = np.full(self._source.n_candidates, self.unlabeled_C)
         if self._train_indices is not None:
-            if self._train_blocks is None:
-                raw = gather_rows(self._source, self._train_indices)
-                self._train_blocks = [self._transform(raw)]
-            labels = y[self._train_indices]
-            weights = (
-                self._sample_weight[self._train_indices]
-                if self._sample_weight is not None
-                else None
-            )
+            box[self._train_indices] = self.C
         else:
-            if self._train_blocks is None:
-                self._train_blocks = [
-                    self._transform(X)
-                    for _, X in self._source.feature_blocks()
-                ]
-            labels = y
-            weights = self._sample_weight
-        return self._train_blocks, labels, weights
-
-    def _fit_scaler(self, blocks: List[np.ndarray]) -> StandardScaler:
-        """Standardization statistics over the training blocks.
-
-        The single-block case (gathered training rows) matches the
-        dense scaler bit-for-bit; the multi-block case accumulates
-        streamed moments so the block list is never concatenated.
-        """
-        if len(blocks) == 1:
-            return StandardScaler().fit(blocks[0])
-        scaler = StandardScaler()
-        count = 0
-        total = None
-        total_sq = None
-        for block in blocks:
-            if total is None:
-                total = block.sum(axis=0)
-                total_sq = (block * block).sum(axis=0)
-            else:
-                total += block.sum(axis=0)
-                total_sq += (block * block).sum(axis=0)
-            count += block.shape[0]
-        if count == 0:
-            raise ModelError("cannot fit scaler on zero rows")
-        mean = total / count
-        variance = np.maximum(total_sq / count - mean * mean, 0.0)
-        std = np.sqrt(variance)
-        std[std == 0] = 1.0
-        scaler.mean_ = mean
-        scaler.scale_ = std
-        return scaler
-
-    def _fit_scaler_source(self) -> StandardScaler:
-        """Standardization statistics streamed off the bound source.
-
-        Bit-identical to :meth:`_fit_scaler` over the mapped block
-        list: a single-block source dense-fits that block, a multi-block
-        source accumulates moments in stream order.
-        """
-        count = 0
-        total = None
-        total_sq = None
-        first: Optional[np.ndarray] = None
-        n_blocks = 0
-        for _, X in self._source.feature_blocks():
-            block = self._transform(np.asarray(X, dtype=np.float64))
-            n_blocks += 1
-            if n_blocks == 1:
-                first = block
-            if total is None:
-                total = block.sum(axis=0)
-                total_sq = (block * block).sum(axis=0)
-            else:
-                total += block.sum(axis=0)
-                total_sq += (block * block).sum(axis=0)
-            count += block.shape[0]
-        if count == 0:
-            raise ModelError("cannot fit scaler on zero rows")
-        if n_blocks == 1:
-            return StandardScaler().fit(first)
-        scaler = StandardScaler()
-        mean = total / count
-        variance = np.maximum(total_sq / count - mean * mean, 0.0)
-        std = np.sqrt(variance)
-        std[std == 0] = 1.0
-        scaler.mean_ = mean
-        scaler.scale_ = std
-        return scaler
+            box[:] = self.C
+        if self._sample_weight is not None:
+            box = box * np.asarray(self._sample_weight, dtype=np.float64).ravel()
+        return box
 
     def _metrics_registry(self):
         """The bound session's registry, else the process-global one."""
@@ -1226,60 +591,6 @@ class SVMBackend(ModelBackend):
         if metrics is not None:
             return metrics
         return global_registry()
-
-    def _fit_streamed(self, labels: np.ndarray) -> np.ndarray:
-        """All-of-H working-set fit (PU mode and unsupervised-indices).
-
-        Streams the source through :meth:`StreamedLinearSVC.fit_source`
-        instead of materializing every mapped block for the whole
-        solve; in PU mode the clamped rows keep cost ``C`` while every
-        other candidate row enters as a soft negative at
-        ``unlabeled_C``.
-        """
-        if self._fit_cache is not None and np.array_equal(
-            self._fit_cache[0], labels
-        ):
-            return self._fit_cache[1].copy()
-        if self.scale_features:
-            self.scaler_ = self._fit_scaler_source()
-        else:
-            self.scaler_ = None
-        scaler = self.scaler_
-
-        def prepare(X: np.ndarray) -> np.ndarray:
-            Z = self._transform(X)
-            return scaler.transform(Z) if scaler is not None else Z
-
-        weights = self._sample_weight
-        sample_C = None
-        if self.mode == "pu":
-            n = self._source.n_candidates
-            box = np.full(n, self.unlabeled_C)
-            if self._train_indices is not None:
-                box[self._train_indices] = self.C
-            else:
-                box[:] = self.C
-            if weights is not None:
-                box = box * np.asarray(
-                    weights, dtype=np.float64
-                ).ravel()
-            sample_C = box
-            weights = None
-        self.svc_ = StreamedLinearSVC(
-            C=self.C, max_iter=self.max_iter, tol=self.tol,
-            seed=self.seed, shrink=self.shrink,
-        )
-        self.svc_.fit_source(
-            self._source,
-            labels,
-            sample_weight=weights,
-            sample_C=sample_C,
-            prepare=prepare,
-            registry=self._metrics_registry(),
-        )
-        packed = np.concatenate([self.svc_.coef_, [self.svc_.intercept_]])
-        self._fit_cache = (labels.copy(), packed.copy())
-        return packed
 
     def fit(self, y: np.ndarray) -> np.ndarray:
         if self._source is None:
@@ -1290,24 +601,47 @@ class SVMBackend(ModelBackend):
                 f"label vector length {y.shape[0]} does not match "
                 f"{self._source.n_candidates} candidates"
             )
-        rinted = np.asarray(np.rint(y), dtype=np.int64)
-        if self.mode == "pu" or self._train_indices is None:
-            return self._fit_streamed(rinted)
-        blocks, labels, weights = self._training_blocks(rinted)
+        labels = np.asarray(np.rint(y), dtype=np.int64)
+        # Supervised fits with train indices solve over the gathered
+        # training rows, held in memory (the active loop's hot path);
+        # PU and all-rows fits stream the whole source through the
+        # evicting working set.
+        gathered = self.mode == "supervised" and self._train_indices is not None
+        if gathered:
+            labels = labels[self._train_indices]
         if self._fit_cache is not None and np.array_equal(
             self._fit_cache[0], labels
         ):
             return self._fit_cache[1].copy()
-        if self.scale_features:
-            self.scaler_ = self._fit_scaler(blocks)
-            blocks = [self.scaler_.transform(block) for block in blocks]
-        else:
-            self.scaler_ = None
-        self.svc_ = StreamedLinearSVC(
+        self.svc_ = LinearSVC(
             C=self.C, max_iter=self.max_iter, tol=self.tol,
             seed=self.seed, shrink=self.shrink,
         )
-        self.svc_.fit_blocks(blocks, labels, sample_weight=weights)
+        if gathered:
+            rows = self._gathered_rows()
+            self.scaler_ = _fit_scaler([rows]) if self.scale_features else None
+            weights = self._sample_weight
+            self.svc_.fit_blocks(
+                [self._scaled(rows)],
+                labels,
+                sample_weight=(
+                    weights[self._train_indices]
+                    if weights is not None else None
+                ),
+            )
+        else:
+            self.scaler_ = _fit_scaler(
+                self._transform(np.asarray(X, dtype=np.float64))
+                for _, X in self._source.feature_blocks()
+            ) if self.scale_features else None
+            self.svc_.fit_source(
+                self._source,
+                labels,
+                sample_weight=self._sample_weight,
+                sample_C=self._pu_costs(),
+                prepare=lambda X: self._scaled(self._transform(X)),
+                registry=self._metrics_registry(),
+            )
         packed = np.concatenate([self.svc_.coef_, [self.svc_.intercept_]])
         self._fit_cache = (labels.copy(), packed.copy())
         return packed
@@ -1384,7 +718,7 @@ class SVMBackend(ModelBackend):
             self.scaler_.scale_ = np.asarray(scaler_state["scale"])
         svc_state = state.get("svc")
         if svc_state is not None:
-            self.svc_ = StreamedLinearSVC(
+            self.svc_ = LinearSVC(
                 C=self.C, max_iter=self.max_iter, tol=self.tol,
                 seed=self.seed, shrink=self.shrink,
             )

@@ -8,20 +8,22 @@ optimizers for the soft-margin linear SVM
 
 * :class:`LinearSVC` — dual coordinate descent (the LIBLINEAR algorithm
   of Hsieh et al., ICML 2008); deterministic given a seed, converges to
-  the dual optimum, the default everywhere.
+  the dual optimum, the default everywhere.  It trains from a dense
+  matrix (:meth:`~LinearSVC.fit`), a list of row blocks
+  (:meth:`~LinearSVC.fit_blocks`) or a re-readable block source
+  (:meth:`~LinearSVC.fit_source`); ``StreamedLinearSVC`` is another
+  name for the same class.
 * :class:`PegasosSVC` — primal stochastic subgradient (Shalev-Shwartz et
   al., 2007); kept as an independent implementation for cross-checks.
 
 Both accept ``{0, 1}`` labels (the paper's label set) and remap them to
 ``{-1, +1}`` internally; ``predict`` returns ``{0, 1}``.
 
-The dual coordinate descent itself lives in
-:func:`dual_coordinate_descent`, which walks the design matrix as a
-*list of row blocks* rather than one contiguous array.  ``LinearSVC``
-calls it with a single block; the streamed model backend
-(:class:`repro.ml.backends.StreamedLinearSVC`) calls it with cached
-feature blocks — same rows, same update arithmetic, so the two are
-bit-identical given the seed and the concatenated row order.
+The dual coordinate descent reads the design matrix one row at a time
+and never needs it contiguous.  Every floating-point operation is
+per-row, so the weights depend only on the seed and the concatenated
+row order — never on how the rows are chopped into blocks or where
+they are held.
 
 Shrinking (``shrink=True``, the default) adds a LIBLINEAR-style working
 set on top without giving up that guarantee.  The classic heuristic
@@ -42,17 +44,134 @@ unshrink+verify pass re-reads every shrunk row to validate the
 certificates, making the shrunk solver bit-identical to ``shrink=False``
 for the same seed and row order while doing near-zero work per pinned
 dual at convergence.
+
+That certified sweep (:func:`_certified_sweep`) reads rows through a
+*row store*, and the input type picks the store: a block list keeps
+every row resident in its block (:class:`_BlockRows`), while a block
+source keeps only the rows the sweep can still visit
+(:class:`_SourceRows`) — certificate-covered rows are evicted at each
+epoch start and re-read from their home block only when needed again,
+so blocks whose every dual is screened are never read again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ModelError, NotFittedError
 
 
+# ----------------------------------------------------------------------
+# Block-source reads
+# ----------------------------------------------------------------------
+def _source_spans(source) -> List[Tuple[int, int]]:
+    """``(offset, length)`` partition of a block source.
+
+    Sources exposing :meth:`block_spans` (the streamed task, the dense
+    adapter) answer without reading features; anything else pays one
+    metadata-only pass over ``feature_blocks()``.
+    """
+    if hasattr(source, "block_spans"):
+        return [(int(o), int(n)) for o, n in source.block_spans()]
+    return [
+        (int(offset), int(X.shape[0]))
+        for offset, X in source.feature_blocks()
+    ]
+
+
+def _selected_blocks(source, block_indices, spans):
+    """Selective block pass with a filtered-sweep fallback.
+
+    Sources without :meth:`selected_feature_blocks` stream everything
+    and drop unrequested blocks — correct, just without the read
+    savings.  Requested blocks are yielded in stream order either way.
+    """
+    wanted = sorted(int(b) for b in block_indices)
+    if not wanted:
+        return
+    if hasattr(source, "selected_feature_blocks"):
+        yield from source.selected_feature_blocks(wanted)
+        return
+    offsets = {spans[b][0] for b in wanted}
+    for offset, X in source.feature_blocks():
+        if int(offset) in offsets:
+            yield offset, X
+
+
+# ----------------------------------------------------------------------
+# Input checks shared by every fit
+# ----------------------------------------------------------------------
+def _checked_blocks(blocks):
+    """Yield ``(offset, block)`` pairs as float64 2-D blocks of one width.
+
+    Once the last block is through, raises if any row holds a NaN or
+    inf: a non-finite feature would turn every weight to NaN while the
+    sweep still reported convergence.
+    """
+    width = None
+    n_rows = n_bad = 0
+    for offset, block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2:
+            raise ModelError("design blocks must be 2-D")
+        if width is None:
+            width = block.shape[1]
+        elif block.shape[1] != width:
+            raise ModelError(
+                f"inconsistent block widths: {block.shape[1]} vs {width}"
+            )
+        n_rows += block.shape[0]
+        n_bad += int(np.count_nonzero(~np.isfinite(block).all(axis=1)))
+        yield offset, block
+    if n_bad:
+        raise ModelError(
+            f"{n_bad} of {n_rows} design rows hold NaN or inf features"
+        )
+
+
+def _signed_labels(y, n_samples: int) -> np.ndarray:
+    """``{0, 1}`` labels as ``{-1.0, +1.0}``."""
+    y = np.asarray(y).ravel()
+    if y.shape[0] != n_samples:
+        raise ModelError(f"{y.shape[0]} labels for {n_samples} samples")
+    unique = set(np.unique(y).tolist())
+    if not unique <= {0, 1}:
+        raise ModelError(f"labels must be in {{0, 1}}, got {sorted(unique)}")
+    return np.where(y > 0, 1.0, -1.0)
+
+
+def _checked_costs(values, n_samples: int, name: str) -> np.ndarray:
+    """Per-sample weights or costs: one finite, non-negative value each."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if values.shape[0] != n_samples:
+        raise ModelError(
+            f"{name} has {values.shape[0]} entries for {n_samples} samples"
+        )
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ModelError(f"{name} entries must be finite and >= 0")
+    return values
+
+
+def _with_bias(Z: np.ndarray, fit_intercept: bool) -> np.ndarray:
+    """Append the constant bias column (the augmented-feature trick)."""
+    if fit_intercept:
+        return np.hstack([Z, np.ones((Z.shape[0], 1))])
+    return Z
+
+
+def _split_bias(w: np.ndarray, fit_intercept: bool) -> Tuple[np.ndarray, float]:
+    """``(coef, intercept)`` from augmented weights."""
+    if fit_intercept:
+        return w[:-1].copy(), float(w[-1])
+    return w.copy(), 0.0
+
+
+# ----------------------------------------------------------------------
+# Row stores
+# ----------------------------------------------------------------------
 def _row_lookup(blocks, offsets, single):
     """Row accessor shared by the shrunk and unshrunk sweeps."""
 
@@ -65,6 +184,197 @@ def _row_lookup(blocks, offsets, single):
     return lookup
 
 
+class _BlockRows:
+    """An in-memory block list: every row stays resident in its block."""
+
+    #: Every row is always at hand, so nothing is ever evicted.
+    evicts = False
+
+    def __init__(self, blocks: Sequence[np.ndarray]) -> None:
+        self.blocks = blocks
+        self.offsets = np.concatenate(
+            [[0], np.cumsum([block.shape[0] for block in blocks])]
+        ).astype(np.int64)
+        self.dim = blocks[0].shape[1]
+        # Squared norms; the sweeps skip zero rows, so division is safe.
+        self.q_diag = np.concatenate(
+            [np.einsum("ij,ij->i", block, block) for block in blocks]
+        )
+        self.row = _row_lookup(
+            blocks, self.offsets, blocks[0] if len(blocks) == 1 else None
+        )
+
+    def gather(self, cand: np.ndarray):
+        """``(indices, rows)`` for the candidate rows, one part per block."""
+        for b, block in enumerate(self.blocks):
+            lo = int(self.offsets[b])
+            hi = int(self.offsets[b + 1])
+            sel = cand[(cand >= lo) & (cand < hi)]
+            if sel.size:
+                yield sel, block[sel - lo]
+
+    def verify_blocks(self, screened: np.ndarray):
+        """Every ``(offset, block)``: all rows are resident anyway."""
+        return zip(self.offsets.tolist(), self.blocks)
+
+
+class _SourceRows:
+    """A re-readable block source: only the working set stays resident.
+
+    Pass 0 (``design``) holds every prepared row, because the first
+    epoch visits everything.  At each later epoch start the sweep keeps
+    only the rows it may still visit (:meth:`keep`); a row needed again
+    mid-epoch (an expired certificate) is re-read from its home block
+    into an overlay until the next rebuild.  ``prep`` maps a raw block
+    to design rows; ``counter`` (optional) counts the blocks each
+    rebuild leaves unread.
+    """
+
+    #: Certificate-covered rows give up their memory at epoch starts.
+    evicts = True
+
+    def __init__(self, source, spans, prep, design, counter=None) -> None:
+        self._source = source
+        self._spans = spans
+        self._span_offsets = np.array(
+            [offset for offset, _ in spans], dtype=np.int64
+        )
+        self._prep = prep
+        self._counter = counter
+        self._resident = design
+        self._pos = np.arange(design.shape[0])
+        self._overlay: Dict[int, np.ndarray] = {}
+        self.dim = design.shape[1]
+        self.q_diag = np.einsum("ij,ij->i", design, design)
+        self.blocks_read = len(spans)  # pass 0
+        self.blocks_skipped = 0
+        self.row_fetches = 0
+        self.resident_peak = design.shape[0]
+
+    def _homes(self, indices: np.ndarray) -> np.ndarray:
+        """Indices of the blocks holding ``indices``."""
+        return np.unique(
+            np.searchsorted(self._span_offsets, indices, side="right") - 1
+        )
+
+    def _fetch(self, missing: np.ndarray):
+        """Re-read ``missing`` rows: ``(indices, rows)`` per home block."""
+        homes = self._homes(missing)
+        for offset, X in _selected_blocks(
+            self._source, homes.tolist(), self._spans
+        ):
+            Z = self._prep(X)
+            lo = int(offset)
+            sel = missing[(missing >= lo) & (missing < lo + Z.shape[0])]
+            self.row_fetches += int(sel.size)
+            yield sel, Z[sel - lo]
+        self.blocks_read += int(homes.size)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` for a sweep visit: resident, else in the overlay."""
+        slot = self._pos[i]
+        return self._resident[slot] if slot >= 0 else self._overlay[i]
+
+    def held(self) -> np.ndarray:
+        """Mask of the rows at hand (resident or in the overlay)."""
+        local = self._pos >= 0
+        if self._overlay:
+            local[np.fromiter(self._overlay, dtype=np.int64)] = True
+        return local
+
+    def gather(self, cand: np.ndarray):
+        """``(indices, rows)`` for the candidates, fetching absent rows.
+
+        Fetched rows join the overlay, so the sweep can visit them.
+        """
+        slots = self._pos[cand]
+        res = cand[slots >= 0]
+        if res.size:
+            yield res, self._resident[self._pos[res]]
+        rest = cand[slots < 0].tolist()
+        in_overlay = [i for i in rest if i in self._overlay]
+        missing = np.asarray(
+            [i for i in rest if i not in self._overlay], dtype=np.int64
+        )
+        if in_overlay:
+            yield (
+                np.asarray(in_overlay, dtype=np.int64),
+                np.stack([self._overlay[i] for i in in_overlay]),
+            )
+        if missing.size:
+            for sel, rows in self._fetch(missing):
+                for k, i in enumerate(sel.tolist()):
+                    self._overlay[i] = rows[k]
+                yield sel, rows
+
+    def keep(self, needed: np.ndarray) -> None:
+        """Rebuild the resident store as exactly the ``needed`` rows."""
+        resident = np.empty((needed.size, self.dim))
+        pos = np.full(self._pos.shape[0], -1, dtype=np.int64)
+        pos[needed] = np.arange(needed.size)
+        held = needed[self._pos[needed] >= 0]
+        resident[pos[held]] = self._resident[self._pos[held]]
+        missing = []
+        for i in needed[self._pos[needed] < 0].tolist():
+            row = self._overlay.get(i)
+            if row is not None:
+                resident[pos[i]] = row
+            else:
+                missing.append(i)
+        if missing:
+            for sel, rows in self._fetch(np.asarray(missing, dtype=np.int64)):
+                resident[pos[sel]] = rows
+        skipped = len(self._spans) - int(self._homes(needed).size)
+        self.blocks_skipped += skipped
+        if self._counter is not None and skipped:
+            self._counter.inc(skipped)
+        self._resident = resident
+        self._pos = pos
+        self._overlay = {}
+        self.resident_peak = max(self.resident_peak, needed.size)
+
+    def verify_blocks(self, screened: np.ndarray):
+        """``(offset, rows)`` of just the blocks holding a screened dual."""
+        homes = self._homes(screened)
+        self.blocks_read += int(homes.size)
+        return (
+            (offset, self._prep(X))
+            for offset, X in _selected_blocks(
+                self._source, homes.tolist(), self._spans
+            )
+        )
+
+    def stats(self) -> Dict[str, int]:
+        """Read and residency telemetry for ``shrink_stats_``."""
+        return {
+            "n_samples": int(self._pos.shape[0]),
+            "blocks_total": len(self._spans),
+            "blocks_read": self.blocks_read,
+            "blocks_skipped": self.blocks_skipped,
+            "row_fetches": self.row_fetches,
+            "resident_peak": int(self.resident_peak),
+            "resident_final": int(self._resident.shape[0])
+            + len(self._overlay),
+        }
+
+
+def _read_design(source, spans, prep) -> np.ndarray:
+    """Pass 0: every prepared row of ``source`` in one array."""
+    n_samples = sum(length for _, length in spans)
+    design = None
+    for offset, Z in _checked_blocks(
+        (offset, prep(X))
+        for offset, X in _selected_blocks(source, range(len(spans)), spans)
+    ):
+        if design is None:
+            design = np.empty((n_samples, Z.shape[1]))
+        design[offset:offset + Z.shape[0]] = Z
+    return design
+
+
+# ----------------------------------------------------------------------
+# Dual coordinate descent
+# ----------------------------------------------------------------------
 def dual_coordinate_descent(
     blocks: Sequence[np.ndarray],
     signed: np.ndarray,
@@ -100,64 +410,83 @@ def dual_coordinate_descent(
 
     Returns ``(w, n_iter)`` in the augmented design space.
     """
-    offsets = np.concatenate(
-        [[0], np.cumsum([block.shape[0] for block in blocks])]
-    ).astype(np.int64)
-    n_samples = int(offsets[-1])
+    rows = _BlockRows(blocks)
+    n_samples = int(rows.offsets[-1])
     if signed.shape[0] != n_samples:
         raise ModelError(
             f"{signed.shape[0]} labels for {n_samples} design rows"
         )
-    dim = blocks[0].shape[1]
-    single = blocks[0] if len(blocks) == 1 else None
-
-    alpha = np.zeros(n_samples)
-    w = np.zeros(dim)
-    # Squared norms; guard zero rows so the division below is safe.
-    q_diag = np.concatenate(
-        [np.einsum("ij,ij->i", block, block) for block in blocks]
-    )
     box = np.full(n_samples, C) if sample_C is None else sample_C
-    rng = np.random.default_rng(seed)
-    order = np.arange(n_samples)
-    row_at = _row_lookup(blocks, offsets, single)
-
-    if not shrink:
-        converged_at = max_iter
-        for iteration in range(max_iter):
-            rng.shuffle(order)
-            max_violation = 0.0
-            for i in order:
-                if q_diag[i] == 0.0 or box[i] == 0.0:
-                    continue
-                row = row_at(i)
-                margin = signed[i] * (row @ w)
-                gradient = margin - 1.0
-                # Projected gradient for the box 0<=alpha<=C_i.
-                if alpha[i] == 0.0:
-                    projected = min(gradient, 0.0)
-                elif alpha[i] == box[i]:
-                    projected = max(gradient, 0.0)
-                else:
-                    projected = gradient
-                max_violation = max(max_violation, abs(projected))
-                if projected != 0.0:
-                    old_alpha = alpha[i]
-                    alpha[i] = min(
-                        max(old_alpha - gradient / q_diag[i], 0.0), box[i]
-                    )
-                    delta = (alpha[i] - old_alpha) * signed[i]
-                    if delta != 0.0:
-                        w += delta * row
-            if max_violation < tol:
-                converged_at = iteration + 1
-                break
+    if shrink:
+        w, converged_at, sweep_stats = _certified_sweep(
+            rows, signed, box, max_iter, tol, seed
+        )
+        if stats is not None:
+            stats.update(sweep_stats)
         return w, converged_at
 
-    # --- certified working-set sweep -----------------------------------
+    q_diag = rows.q_diag
+    row_at = rows.row
+    alpha = np.zeros(n_samples)
+    w = np.zeros(rows.dim)
+    rng = np.random.default_rng(seed)
+    order = np.arange(n_samples)
+    converged_at = max_iter
+    for iteration in range(max_iter):
+        rng.shuffle(order)
+        max_violation = 0.0
+        for i in order:
+            if q_diag[i] == 0.0 or box[i] == 0.0:
+                continue
+            row = row_at(i)
+            margin = signed[i] * (row @ w)
+            gradient = margin - 1.0
+            # Projected gradient for the box 0<=alpha<=C_i.
+            if alpha[i] == 0.0:
+                projected = min(gradient, 0.0)
+            elif alpha[i] == box[i]:
+                projected = max(gradient, 0.0)
+            else:
+                projected = gradient
+            max_violation = max(max_violation, abs(projected))
+            if projected != 0.0:
+                old_alpha = alpha[i]
+                alpha[i] = min(
+                    max(old_alpha - gradient / q_diag[i], 0.0), box[i]
+                )
+                delta = (alpha[i] - old_alpha) * signed[i]
+                if delta != 0.0:
+                    w += delta * row
+        if max_violation < tol:
+            converged_at = iteration + 1
+            break
+    return w, converged_at
+
+
+def _certified_sweep(
+    rows, signed, box, max_iter, tol, seed, histogram=None,
+) -> Tuple[np.ndarray, int, Dict[str, float]]:
+    """The certified working-set sweep over a row store.
+
+    ``rows`` is a :class:`_BlockRows` or :class:`_SourceRows`; the
+    visits, updates and certificates are the same either way, so the
+    weights and iteration count are bit-identical to the plain sweep
+    of :func:`dual_coordinate_descent` for the same seed and row order.
+    ``histogram`` (optional) observes each epoch's wall time.  Returns
+    ``(w, n_iter, stats)``.
+    """
+    n_samples = signed.shape[0]
+    dim = rows.dim
+    q_diag = rows.q_diag
+    row_at = rows.row
     eps = float(np.finfo(np.float64).eps)
     row_norm = np.sqrt(q_diag)
+    # Guard absorbs rounding of the row@w dot products; scaled by dim
+    # and the weight-norm bound (||w|| <= drift_total).
+    guard_unit = 64.0 * eps * dim * row_norm
     dead = (q_diag == 0.0) | (box == 0.0)
+    alpha = np.zeros(n_samples)
+    w = np.zeros(dim)
     # Certificate state: a dual recorded pinned with an outward gradient
     # of magnitude ``screen_slack`` at cumulative drift ``screen_snap``
     # is an exact no-op of the unshrunk sweep for any visit while
@@ -170,21 +499,24 @@ def dual_coordinate_descent(
     screen_snap = np.zeros(n_samples)
     drift_total = 0.0
     budget = 0.0  # drift headroom granted to each screening round
+    rng = np.random.default_rng(seed)
+    order = np.arange(n_samples)
     epochs_run = 0
     active_visits = 0
     skipped_visits = 0
     rescreens = 0
 
+    def covered(allowance: float) -> np.ndarray:
+        """Duals whose certificate holds while drift <= ``allowance``."""
+        return screenable & (
+            screen_slack - row_norm * (allowance - screen_snap)
+            > guard_unit * (allowance + 1.0)
+        )
+
     def refresh_certificates(cand: np.ndarray) -> None:
         """Recompute certificates for the given duals (vectorized)."""
-        for b in range(len(blocks)):
-            lo = int(offsets[b])
-            hi = int(offsets[b + 1])
-            sel = cand[(cand >= lo) & (cand < hi)]
-            if sel.size == 0:
-                continue
-            rows = blocks[b][sel - lo]
-            grads = signed[sel] * (rows @ w) - 1.0
+        for sel, block in rows.gather(cand):
+            grads = signed[sel] * (block @ w) - 1.0
             slack = np.where(alpha[sel] == 0.0, grads, -grads)
             fresh = slack > 0.0
             sub = sel[fresh]
@@ -195,9 +527,26 @@ def dual_coordinate_descent(
 
     converged_at = max_iter
     for iteration in range(max_iter):
+        if histogram is not None:
+            epoch_started = time.perf_counter()
         rng.shuffle(order)
         max_violation = 0.0
         epoch_start_drift = drift_total
+        if iteration and rows.evicts:
+            # Keep only the rows whose certificate fails to cover
+            # several epochs of drift at the current rate (16 * budget
+            # is last epoch's drift), so evicted rows do not bounce
+            # straight back through a block fetch.  Pinned rows at hand
+            # get a free certificate refresh first — slack is measured
+            # at eviction time, where it is largest.
+            horizon = drift_total + 128.0 * budget
+            lasting = covered(horizon)
+            pinned = ~dead & ((alpha == 0.0) | (alpha == box))
+            stale = pinned & rows.held() & ~lasting
+            if stale.any():
+                refresh_certificates(np.flatnonzero(stale))
+                lasting = covered(horizon)
+            rows.keep(np.flatnonzero(~dead & ~lasting))
         pos = 0
         rounds = 0
         while pos < n_samples:
@@ -207,26 +556,15 @@ def dual_coordinate_descent(
             if rounds % 32 == 0:
                 budget *= 2.0  # runaway-round safeguard
             allowance = drift_total + budget
-            # Guard absorbs rounding of the row@w dot products; scaled
-            # by dim and the weight-norm bound (||w|| <= drift_total).
-            guard = 64.0 * eps * dim * row_norm * (allowance + 1.0)
-            covers_round = (
-                screen_slack - row_norm * (allowance - screen_snap) > guard
-            )
             # Refresh only the pinned duals whose certificate no longer
             # covers this round; still-covered ones keep their cert.
+            certified = covered(allowance)
             stale = (
-                ~dead
-                & ((alpha == 0.0) | (alpha == box))
-                & ~(screenable & covers_round)
+                ~dead & ((alpha == 0.0) | (alpha == box)) & ~certified
             )
             if stale.any():
                 refresh_certificates(np.flatnonzero(stale))
-                covers_round = (
-                    screen_slack - row_norm * (allowance - screen_snap)
-                    > guard
-                )
-            certified = screenable & covers_round
+                certified = covered(allowance)
             visits = order[pos:]
             if not certified[visits].any():
                 # Only dead duals are skipped; those never expire, so
@@ -283,42 +621,43 @@ def dual_coordinate_descent(
         # Next epoch's round window: a fraction of this epoch's drift,
         # so ~16 cheap vectorized re-screens replace per-row visits.
         budget = (drift_total - epoch_start_drift) / 16.0
+        if histogram is not None:
+            histogram.observe(time.perf_counter() - epoch_started)
         if max_violation < tol:
             converged_at = iteration + 1
             break
 
-    verify_checked, verify_max_residual = _unshrink_verify(
-        (
-            (int(offsets[b]), blocks[b])
-            for b in range(len(blocks))
-        ),
-        signed, w, alpha, box, row_norm,
-        screenable, screen_slack, screen_snap, drift_total, dim, eps,
-    )
-    if stats is not None:
-        stats.update(
-            epochs=epochs_run,
-            active_visits=active_visits,
-            skipped_visits=skipped_visits,
-            rescreens=rescreens,
-            screened_final=int(np.count_nonzero(screenable)),
-            verify_checked=verify_checked,
-            verify_max_residual=verify_max_residual,
-            drift=drift_total,
+    screened = np.flatnonzero(screenable)
+    verify_checked, verify_max_residual = 0, 0.0
+    if screened.size:
+        verify_checked, verify_max_residual = _unshrink_verify(
+            rows.verify_blocks(screened), screened,
+            signed, w, alpha, box, row_norm,
+            screen_slack, screen_snap, drift_total, dim, eps,
         )
-    return w, converged_at
+    stats = {
+        "epochs": epochs_run,
+        "active_visits": active_visits,
+        "skipped_visits": skipped_visits,
+        "rescreens": rescreens,
+        "screened_final": int(screened.size),
+        "verify_checked": verify_checked,
+        "verify_max_residual": verify_max_residual,
+        "drift": drift_total,
+    }
+    return w, converged_at, stats
 
 
 def _unshrink_verify(
-    design_blocks, signed, w, alpha, box, row_norm,
-    screenable, screen_slack, screen_snap, drift_total, dim, eps,
+    design_blocks, idx, signed, w, alpha, box, row_norm,
+    screen_slack, screen_snap, drift_total, dim, eps,
 ) -> Tuple[int, float]:
     """Full unshrink pass over every shrunk dual at the final weights.
 
     ``design_blocks`` is an iterator of ``(offset, block)`` design rows
-    covering the whole sample range (an in-memory block list or a fresh
-    stream off the arena).  Recomputes each certificate-holding dual's
-    gradient from its row and validates the certificate invariant: the
+    covering every index in ``idx`` (the shrunk duals).  Recomputes
+    each shrunk dual's gradient from its row and validates the
+    certificate invariant: the
     dual is still pinned at a bound and its outward slack has decayed by
     no more than the drift bound allows.  A violation means the
     screening bookkeeping is broken (it cannot arise from the
@@ -329,9 +668,6 @@ def _unshrink_verify(
     unshrunk solver's output, whose stopping rule also measures
     violations at visit time.
     """
-    idx = np.flatnonzero(screenable)
-    if idx.size == 0:
-        return 0, 0.0
     max_residual = 0.0
     for offset, block in design_blocks:
         lo = int(offset)
@@ -361,24 +697,20 @@ def _unshrink_verify(
     return int(idx.size), max_residual
 
 
-def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y).ravel()
-    if X.ndim != 2:
-        raise ModelError("X must be a 2-D array")
-    if y.shape[0] != X.shape[0]:
-        raise ModelError(
-            f"{y.shape[0]} labels for {X.shape[0]} samples"
-        )
-    unique = set(np.unique(y).tolist())
-    if not unique <= {0, 1}:
-        raise ModelError(f"labels must be in {{0, 1}}, got {sorted(unique)}")
-    signed = np.where(y > 0, 1.0, -1.0)
-    return X, signed
-
-
+# ----------------------------------------------------------------------
+# Estimators
+# ----------------------------------------------------------------------
 class LinearSVC:
     """Soft-margin linear SVM trained by dual coordinate descent.
+
+    Three entry points share one fit: :meth:`fit` takes a dense matrix,
+    :meth:`fit_blocks` a list of row blocks (never concatenated), and
+    :meth:`fit_source` a re-readable block source, holding only the
+    rows the certified sweep still visits.  Each validates its input,
+    short-cuts a single-class label set, and runs the same sweep, so
+    all three are bit-identical given the seed and the concatenated
+    row order, for any block partition.  ``StreamedLinearSVC`` names
+    the same class.
 
     Parameters
     ----------
@@ -422,7 +754,7 @@ class LinearSVC:
         self.coef_: Optional[np.ndarray] = None
         self.intercept_: float = 0.0
         self.n_iter_: int = 0
-        self.shrink_stats_: dict = {}
+        self.shrink_stats_: Dict = {}
 
     def fit(
         self,
@@ -440,58 +772,136 @@ class LinearSVC:
         reproduce the unweighted fit bit-for-bit; a zero weight removes
         the sample from the margin entirely.
         """
-        X, signed = _validate_training_input(X, y)
-        n_samples, n_features = X.shape
+        return self.fit_blocks([X], y, sample_weight=sample_weight)
+
+    def fit_blocks(
+        self,
+        blocks: Sequence[np.ndarray],
+        y: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None,
+    ) -> "LinearSVC":
+        """Fit on ``{0, 1}``-labeled rows held as a block list."""
+        design = [
+            _with_bias(block, self.fit_intercept)
+            for _, block in _checked_blocks(enumerate(blocks))
+        ]
+        n_samples = sum(block.shape[0] for block in design)
+
+        def solve(signed, box):
+            stats: Dict = {}
+            w, n_iter = dual_coordinate_descent(
+                design, signed, C=self.C, max_iter=self.max_iter,
+                tol=self.tol, seed=self.seed, sample_C=box,
+                shrink=self.shrink, stats=stats,
+            )
+            return w, n_iter, stats
+
+        return self._fit(
+            n_samples, y, sample_weight, None,
+            lambda: design[0].shape[1] - self.fit_intercept, solve,
+        )
+
+    def fit_source(
+        self,
+        source,
+        y: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None,
+        sample_C: Optional[np.ndarray] = None,
+        prepare=None,
+        registry=None,
+    ) -> "LinearSVC":
+        """Working-set fit straight off a re-readable block source.
+
+        ``source`` is anything with ``feature_blocks()`` (ideally also
+        ``block_spans()``/``selected_feature_blocks()`` so unneeded
+        blocks are never extracted); ``prepare`` optionally maps each
+        raw block to design rows (feature map + scaling).  ``sample_C``
+        gives per-sample box constraints directly (overrides
+        ``sample_weight``'s ``C * w_i``).
+
+        The certified sweep holds only the rows it can still visit:
+        after each epoch the resident store is rebuilt with
+        certificate-covered rows evicted, and only blocks owning a
+        still-needed row are re-read.  ``registry`` (a
+        :class:`~repro.obs.metrics.MetricsRegistry`) receives the
+        ``svm.blocks_skipped`` counter and ``phase.svm_epoch``
+        histogram.  Bit-identical to :meth:`fit_blocks` on the
+        materialized stream for the same seed and row order.
+        """
+        spans = _source_spans(source)
+
+        def prep(X: np.ndarray) -> np.ndarray:
+            Z = np.asarray(X, dtype=np.float64)
+            if prepare is not None:
+                Z = np.asarray(prepare(Z), dtype=np.float64)
+            return _with_bias(Z, self.fit_intercept)
+
+        def width() -> int:
+            # One block read: the design width of a single-class fit.
+            for _, X in _selected_blocks(source, [0], spans):
+                return prep(X).shape[1] - self.fit_intercept
+
+        def solve(signed, box):
+            design = _read_design(source, spans, prep)
+            if not self.shrink:
+                w, n_iter = dual_coordinate_descent(
+                    [design], signed, C=self.C, max_iter=self.max_iter,
+                    tol=self.tol, seed=self.seed, sample_C=box,
+                    shrink=False,
+                )
+                return w, n_iter, {}
+            rows = _SourceRows(
+                source, spans, prep, design,
+                counter=(
+                    registry.counter("svm.blocks_skipped")
+                    if registry is not None else None
+                ),
+            )
+            w, n_iter, stats = _certified_sweep(
+                rows, signed, box, self.max_iter, self.tol, self.seed,
+                histogram=(
+                    registry.histogram("phase.svm_epoch")
+                    if registry is not None else None
+                ),
+            )
+            stats.update(rows.stats())
+            return w, n_iter, stats
+
+        return self._fit(
+            sum(length for _, length in spans), y, sample_weight, sample_C,
+            width, solve,
+        )
+
+    def _fit(self, n_samples, y, sample_weight, sample_C, width, solve):
+        """The fit every entry point shares.
+
+        Checks labels and per-sample costs, short-cuts a single-class
+        label set, then runs ``solve(signed, box)`` — which returns
+        ``(w, n_iter, shrink_stats)`` in the augmented space — and
+        splits off the intercept.  ``width()`` gives the feature count
+        for the single-class case.
+        """
         if n_samples == 0:
             raise ModelError("cannot fit on zero samples")
-        sample_C = None
-        if sample_weight is not None:
-            sample_weight = np.asarray(
-                sample_weight, dtype=np.float64
-            ).ravel()
-            if sample_weight.shape[0] != n_samples:
-                raise ModelError(
-                    f"sample_weight has {sample_weight.shape[0]} entries "
-                    f"for {n_samples} samples"
-                )
-            if not np.all(np.isfinite(sample_weight)) or np.any(
-                sample_weight < 0
-            ):
-                raise ModelError(
-                    "sample_weight entries must be finite and >= 0"
-                )
-            sample_C = self.C * sample_weight
+        signed = _signed_labels(y, n_samples)
+        if sample_C is not None:
+            box = _checked_costs(sample_C, n_samples, "sample_C")
+        elif sample_weight is not None:
+            box = self.C * _checked_costs(
+                sample_weight, n_samples, "sample_weight"
+            )
+        else:
+            box = np.full(n_samples, self.C)
         if len(set(signed.tolist())) < 2:
             # Degenerate single-class training set: behave like the
             # majority-class predictor (hyperplane pushed to one side).
-            self.coef_ = np.zeros(n_features)
-            self.intercept_ = float(signed[0]) * 1.0
+            self.coef_ = np.zeros(width())
+            self.intercept_ = float(signed[0])
             self.n_iter_ = 0
             self.shrink_stats_ = {}
             return self
-
-        design = X
-        if self.fit_intercept:
-            design = np.hstack([X, np.ones((n_samples, 1))])
-        self.shrink_stats_ = {}
-        w, self.n_iter_ = dual_coordinate_descent(
-            [design],
-            signed,
-            C=self.C,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            seed=self.seed,
-            sample_C=sample_C,
-            shrink=self.shrink,
-            stats=self.shrink_stats_ if self.shrink else None,
-        )
-
-        if self.fit_intercept:
-            self.coef_ = w[:-1].copy()
-            self.intercept_ = float(w[-1])
-        else:
-            self.coef_ = w.copy()
-            self.intercept_ = 0.0
+        w, self.n_iter_, self.shrink_stats_ = solve(signed, box)
+        self.coef_, self.intercept_ = _split_bias(w, self.fit_intercept)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -504,6 +914,10 @@ class LinearSVC:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted ``{0, 1}`` labels."""
         return (self.decision_function(X) > 0).astype(np.int64)
+
+
+#: The block-streaming name of :class:`LinearSVC` (one class).
+StreamedLinearSVC = LinearSVC
 
 
 class PegasosSVC:
@@ -558,25 +972,15 @@ class PegasosSVC:
         of 1.0 reproduce the unweighted fit bit-for-bit and a zero
         weight removes the sample's pull on the margin.
         """
-        X, signed = _validate_training_input(X, y)
+        [(_, X)] = _checked_blocks([(0, X)])
         n_samples = X.shape[0]
         if n_samples == 0:
             raise ModelError("cannot fit on zero samples")
+        signed = _signed_labels(y, n_samples)
         weights = None
         if sample_weight is not None:
-            weights = np.asarray(sample_weight, dtype=np.float64).ravel()
-            if weights.shape[0] != n_samples:
-                raise ModelError(
-                    f"sample_weight has {weights.shape[0]} entries "
-                    f"for {n_samples} samples"
-                )
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                raise ModelError(
-                    "sample_weight entries must be finite and >= 0"
-                )
-        design = X
-        if self.fit_intercept:
-            design = np.hstack([X, np.ones((n_samples, 1))])
+            weights = _checked_costs(sample_weight, n_samples, "sample_weight")
+        design = _with_bias(X, self.fit_intercept)
         rng = np.random.default_rng(self.seed)
         w = np.zeros(design.shape[1])
         radius = 1.0 / np.sqrt(self.lam)
@@ -593,12 +997,7 @@ class PegasosSVC:
                 norm = np.linalg.norm(w)
                 if norm > radius:
                     w *= radius / norm
-        if self.fit_intercept:
-            self.coef_ = w[:-1].copy()
-            self.intercept_ = float(w[-1])
-        else:
-            self.coef_ = w
-            self.intercept_ = 0.0
+        self.coef_, self.intercept_ = _split_bias(w, self.fit_intercept)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

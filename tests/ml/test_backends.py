@@ -44,32 +44,27 @@ class TestStreamedLinearSVC:
         "sizes", [[61], [20, 20, 21], [7] * 8 + [5], [1] * 61]
     )
     def test_bit_identical_to_dense_for_any_partition(self, sizes):
+        """``fit`` on the dense matrix and ``fit_blocks`` on any chopping
+        of it agree bit for bit — with and without the intercept, and
+        on a single-class label set (the constant predictor)."""
         X, y = _training_data()
-        dense = LinearSVC(C=0.8, seed=5).fit(X, y)
-        streamed = StreamedLinearSVC(C=0.8, seed=5).fit_blocks(
-            _chop(X, sizes), y
-        )
-        assert np.array_equal(dense.coef_, streamed.coef_)
-        assert dense.intercept_ == streamed.intercept_
-        assert dense.n_iter_ == streamed.n_iter_
-
-    def test_bit_identical_without_intercept(self):
-        X, y = _training_data(seed=2)
-        dense = LinearSVC(fit_intercept=False, seed=1).fit(X, y)
-        streamed = StreamedLinearSVC(fit_intercept=False, seed=1).fit_blocks(
-            _chop(X, [30, 31]), y
-        )
-        assert np.array_equal(dense.coef_, streamed.coef_)
-        assert streamed.intercept_ == 0.0
-
-    def test_degenerate_single_class_matches_dense(self):
-        X, _ = _training_data(seed=3)
-        y = np.ones(X.shape[0], dtype=np.int64)
-        dense = LinearSVC().fit(X, y)
-        streamed = StreamedLinearSVC().fit_blocks(_chop(X, [40, 21]), y)
-        assert np.array_equal(dense.coef_, streamed.coef_)
-        assert dense.intercept_ == streamed.intercept_
-        assert streamed.n_iter_ == 0
+        single = np.ones_like(y)
+        for labels, params in [
+            (y, dict(C=0.8, seed=5)),
+            (y, dict(fit_intercept=False, seed=1)),
+            (single, {}),
+        ]:
+            dense = LinearSVC(**params).fit(X, labels)
+            streamed = StreamedLinearSVC(**params).fit_blocks(
+                _chop(X, sizes), labels
+            )
+            assert np.array_equal(dense.coef_, streamed.coef_)
+            assert dense.intercept_ == streamed.intercept_
+            assert dense.n_iter_ == streamed.n_iter_
+            if not params.get("fit_intercept", True):
+                assert streamed.intercept_ == 0.0
+            if labels is single:
+                assert streamed.n_iter_ == 0
 
     def test_decision_and_predict(self):
         X, y = _training_data(seed=4)

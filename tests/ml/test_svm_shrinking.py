@@ -5,15 +5,28 @@ visit carries a drift-bound certificate proving the unshrunk loop
 would have been a no-op there, so the shrunk solver must reproduce the
 unshrunk trajectory *bit for bit* — same seed, same row order, same
 floats.  These tests enforce that across seeds, block partitions,
-per-sample costs and both the in-memory and streamed entry points.
+per-sample costs and every row store the one certified sweep reads
+through (an in-memory block list, and re-readable sources with and
+without ``block_spans``), on hand-picked and generated problems.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
-from repro.ml.backends import DenseBlockSource, StreamedLinearSVC
-from repro.ml.svm import LinearSVC, PegasosSVC, dual_coordinate_descent
+from repro.ml.backends import DenseBlockSource, StreamedLinearSVC, SVMBackend
+from repro.ml.svm import (
+    LinearSVC,
+    PegasosSVC,
+    _BlockRows,
+    _certified_sweep,
+    _read_design,
+    _source_spans,
+    _SourceRows,
+    dual_coordinate_descent,
+)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -237,6 +250,181 @@ class TestStreamedFitSource:
             StreamedLinearSVC().fit_source(
                 source, y, sample_C=np.ones(len(y) - 1)
             )
+
+
+@st.composite
+def _sweep_problems(draw):
+    """Sweep inputs with the edge cases the certificates must survive.
+
+    Zero-cost boxes and all-zero rows (dead duals), single-class label
+    sets, caps small enough to stop mid-descent, and one-block, random
+    and one-row partitions.
+    """
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    w_true = rng.normal(size=d)
+    if draw(st.integers(0, 3)) == 0:
+        signed = np.full(n, draw(st.sampled_from([1.0, -1.0])))
+    else:
+        signed = np.where(X @ w_true + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
+        # Push the classes apart so most duals pin and get certified.
+        X += draw(st.sampled_from([0.0, 1.0])) * np.outer(signed, w_true)
+    X[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    if draw(st.booleans()):  # fit_intercept
+        X = np.hstack([X, np.ones((n, 1))])
+    if draw(st.booleans()):
+        box = rng.uniform(0.05, 5.0, n)
+        box[draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0.0
+    else:
+        box = np.full(n, draw(st.sampled_from([0.1, 1.0, 10.0])))
+    layout = draw(st.sampled_from(["one", "random", "rows"]))
+    if layout == "one" or n == 1:
+        sizes = (n,)
+    elif layout == "rows":
+        sizes = (1,) * n
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5)))
+        sizes = tuple(np.diff([0, *cuts, n]).tolist())
+    max_iter = draw(st.integers(1, 40))
+    tol = draw(st.sampled_from([1e-1, 1e-3, 1e-6]))
+    return X, signed, box, sizes, max_iter, tol, seed
+
+
+def _source_store(source):
+    """``fit_source``'s evicting row store over ``source`` (no map)."""
+    spans = _source_spans(source)
+    return _SourceRows(
+        source, spans, np.asarray, _read_design(source, spans, np.asarray)
+    )
+
+
+def _row_stores(design, sizes):
+    """Every row store over the same design rows, chopped by ``sizes``."""
+    yield "block list", _BlockRows(_chop(design, sizes))
+    yield "source with spans", _source_store(_MultiBlockSource(design, sizes))
+    yield "feature_blocks only", _source_store(
+        _SweepOnlySource(_MultiBlockSource(design, sizes))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=_sweep_problems())
+def test_certified_sweep_matches_plain_loop(problem):
+    """Differential oracle: the certified sweep over every row store
+    reproduces the plain ``shrink=False`` loop bit for bit."""
+    design, signed, box, sizes, max_iter, tol, seed = problem
+    w_ref, it_ref = dual_coordinate_descent(
+        [design], signed, C=1.0, max_iter=max_iter, tol=tol, seed=seed,
+        sample_C=box, shrink=False,
+    )
+    for name, rows in _row_stores(design, sizes):
+        w, it, stats = _certified_sweep(rows, signed, box, max_iter, tol, seed)
+        assert w.tobytes() == w_ref.tobytes(), name
+        assert it == it_ref, name
+        assert stats["verify_checked"] == stats["screened_final"], name
+
+
+@st.composite
+def _store_schedules(draw):
+    """A chopped design and a schedule of (rebuild, refresh) row sets."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    design = rng.normal(size=(n, draw(st.integers(1, 4))))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=6)))
+    sizes = tuple(np.diff(sorted({0, *cuts, n})).tolist())
+    row_sets = st.sets(st.integers(0, n - 1)).map(
+        lambda rows: np.array(sorted(rows), dtype=np.int64)
+    )
+    steps = draw(st.lists(st.tuples(row_sets, row_sets), min_size=1, max_size=4))
+    return design, sizes, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=_store_schedules())
+def test_source_store_serves_design_rows(schedule):
+    """Whatever the source store has evicted, every read is the design
+    row: a rebuild re-reads evicted rows it keeps, a certificate
+    refresh fetches absent rows (which the sweep may then visit), and
+    the verify pass reaches every row it asks for."""
+    design, sizes, steps = schedule
+    for source in (
+        _MultiBlockSource(design, sizes),
+        _SweepOnlySource(_MultiBlockSource(design, sizes)),
+    ):
+        rows = _source_store(source)
+        for needed, cand in steps:
+            rows.keep(needed)
+            served = []
+            for sel, block in rows.gather(cand):
+                assert np.array_equal(block, design[sel])
+                served.extend(sel.tolist())
+            assert sorted(served) == cand.tolist()
+            at_hand = sorted(set(needed.tolist()) | set(cand.tolist()))
+            assert np.flatnonzero(rows.held()).tolist() == at_hand
+            for i in at_hand:
+                assert np.array_equal(rows.row(i), design[i])
+        verified = []
+        for offset, block in rows.verify_blocks(cand):
+            sel = cand[(cand >= offset) & (cand < offset + block.shape[0])]
+            assert np.array_equal(block[sel - offset], design[sel])
+            verified.extend(sel.tolist())
+        assert verified == cand.tolist()
+
+
+class TestNonFiniteInputs:
+    """NaN or inf input fails at the boundary, on every entry point."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sample_weight_must_be_finite(self, bad):
+        X, y, _ = _problem(seed=13, n=40, d=3)
+        weights = np.ones(len(y))
+        weights[5] = bad
+        for fit in (
+            lambda: LinearSVC().fit(X, y, sample_weight=weights),
+            lambda: StreamedLinearSVC().fit_blocks(
+                [X], y, sample_weight=weights
+            ),
+            lambda: StreamedLinearSVC().fit_source(
+                DenseBlockSource(X), y, sample_weight=weights
+            ),
+        ):
+            with pytest.raises(ModelError, match="finite"):
+                fit()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_features_must_be_finite(self, bad):
+        X, y, _ = _problem(seed=14, n=40, d=3)
+        X[7, 1] = bad
+        X[21, 0] = bad
+        for fit in (
+            lambda: LinearSVC(shrink=True).fit(X, y),
+            lambda: LinearSVC(shrink=False).fit(X, y),
+            lambda: StreamedLinearSVC().fit_blocks(_chop(X, (15, 25)), y),
+            lambda: StreamedLinearSVC().fit_source(
+                _MultiBlockSource(X, (15, 25)), y
+            ),
+            lambda: StreamedLinearSVC(shrink=False).fit_source(
+                DenseBlockSource(X), y
+            ),
+            lambda: PegasosSVC().fit(X, y),
+        ):
+            with pytest.raises(ModelError, match="2 of 40 design rows"):
+                fit()
+        for train in (np.arange(len(y)), None):
+            backend = SVMBackend(scale_features=False)
+            backend.begin(DenseBlockSource(X), train_indices=train)
+            with pytest.raises(ModelError, match="2 of 40 design rows"):
+                backend.fit(y)
+        # Scaling spreads a non-finite column over every row.
+        backend = SVMBackend()
+        backend.begin(DenseBlockSource(X))
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ModelError, match="40 of 40 design rows"
+        ):
+            backend.fit(y)
 
 
 class TestPegasosSampleWeights:
