@@ -67,7 +67,7 @@ def entries_to_csr(
 ) -> sparse.csr_matrix:
     """Canonical CSR delta from event-sourced entry lists.
 
-    The event fast path accumulates one ``(row, col, ±1)`` entry per
+    The session's event fold accumulates one ``(row, col, ±1)`` entry per
     applied mutation; duplicate coordinates **sum** (an edge removed and
     re-added in one event telescopes to zero) and exact cancellations
     are pruned, so the result is the minimal sparse change of the leaf

@@ -158,6 +158,37 @@ class SerialExecutor(Executor):
         return "SerialExecutor()"
 
 
+def _windowed_imap(
+    executor: Union["ThreadedExecutor", "ProcessExecutor"],
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    window: Optional[int],
+) -> Iterator[R]:
+    """The pooled executors' ``imap``: ``fn`` over ``items`` on the
+    executor's pool, in input order, with at most ``window`` (default
+    twice the pool size) submitted but unconsumed results in flight."""
+    if window is None:
+        window = 2 * executor.workers
+    if window < 1:
+        raise AlignmentError(f"window must be >= 1, got {window}")
+    pool = executor._ensure_pool()
+
+    def results() -> Iterator[R]:
+        pending = deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) >= window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+    return results()
+
+
 class ThreadedExecutor(Executor):
     """Thread-pool execution with input-order result merging.
 
@@ -219,28 +250,7 @@ class ThreadedExecutor(Executor):
     def imap(self, fn, items, window=None):
         if self._inside_worker:
             return (fn(item) for item in items)
-        if window is None:
-            window = 2 * self.workers
-        if window < 1:
-            raise AlignmentError(f"window must be >= 1, got {window}")
-        pool = self._ensure_pool()
-        run = self._entered(fn)
-
-        def results() -> Iterator[R]:
-            pending = deque()
-            iterator = iter(items)
-            try:
-                for item in iterator:
-                    pending.append(pool.submit(run, item))
-                    if len(pending) >= window:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
-            finally:
-                for future in pending:
-                    future.cancel()
-
-        return results()
+        return _windowed_imap(self, self._entered(fn), items, window)
 
     def close(self) -> None:
         with self._pool_lock:
@@ -305,27 +315,7 @@ class ProcessExecutor(Executor):
     def imap(self, fn, items, window=None):
         if not _picklable(fn):
             return (fn(item) for item in items)
-        if window is None:
-            window = 2 * self.workers
-        if window < 1:
-            raise AlignmentError(f"window must be >= 1, got {window}")
-        pool = self._ensure_pool()
-
-        def results() -> Iterator[R]:
-            pending = deque()
-            iterator = iter(items)
-            try:
-                for item in iterator:
-                    pending.append(pool.submit(fn, item))
-                    if len(pending) >= window:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
-            finally:
-                for future in pending:
-                    future.cancel()
-
-        return results()
+        return _windowed_imap(self, fn, items, window)
 
     def close(self) -> None:
         with self._pool_lock:

@@ -20,14 +20,17 @@ applies a sparse low-rank delta to each anchor-dependent count matrix,
 its row/column sums, and the cached candidate-view values — and
 :meth:`refresh_features` then rewrites only the affected columns of an
 existing feature matrix in place, without any O(nnz) recount or
-re-scan.  Network updates: :meth:`apply_network_delta` grows ``W1``/
-``W2``/adjacency in place (append-only node order makes growth pure
-padding), folds one-sided delta products for exactly the structures the
-changed matrices touch, and leaves everything else — including
-attribute-only counts under anchor churn — untouched across query
-rounds, refits, experiment folds and evolution events alike.  All
-updates are bit-exact: counts are integer-valued, and
-products/Hadamards/sums of integers below 2**53 are exact in float64.
+re-scan.  Network updates: :meth:`apply_network_delta` turns each
+event's record straight into per-leaf deltas over the bag layout of
+:data:`~repro.meta.context.BAG_LAYOUT`, grows ``W1``/``W2``/adjacency
+in place (append-only node order makes growth pure padding), folds
+one-sided delta products for exactly the structures the changed
+matrices touch, and leaves everything else — including attribute-only
+counts under anchor churn — untouched across query rounds, refits,
+experiment folds and evolution events alike.  Every event takes that
+one fold path.  All updates are bit-exact: counts are integer-valued,
+and products/Hadamards/sums of integers below 2**53 are exact in
+float64.
 """
 
 from __future__ import annotations
@@ -53,26 +56,18 @@ from repro.engine.incremental import (
 )
 from repro.engine.parallel import Executor, WorkersSpec, get_executor
 from repro.exceptions import FeatureError, StoreError
-from repro.meta.algebra import CountingEngine, Expr
+from repro.meta.algebra import CountingEngine, Expr, MatrixBag
 from repro.meta.context import (
     ANCHOR_MATRIX,
-    FOLLOW_LEFT,
-    FOLLOW_RIGHT,
-    LOCATION_LEFT,
-    LOCATION_RIGHT,
-    TIMESTAMP_LEFT,
-    TIMESTAMP_RIGHT,
-    WORD_LEFT,
-    WORD_RIGHT,
-    WRITE_LEFT,
-    WRITE_RIGHT,
-    bag_fingerprints,
+    BAG_LAYOUT,
+    bag_layout,
+    bag_shapes,
     build_matrix_bag,
 )
 from repro.meta.diagrams import DiagramFamily, standard_diagram_family
 from repro.meta.proximity import ProximityMatrix, csr_values_at, dice_scores
 from repro.networks.aligned import AlignedPair, DeltaApplication, NetworkDelta
-from repro.networks.schema import FOLLOW, LOCATION, POST, TIMESTAMP, WORD, WRITE
+from repro.networks.schema import WORD
 from repro.obs.metrics import CounterGroup, MetricsRegistry
 from repro.obs.tracing import get_tracer
 from repro.store.arena import MatrixArena, as_arena
@@ -104,32 +99,6 @@ _LOADABLE_STATE_VERSIONS = (1, 2, 3, 4)
 #: How many delta events the dirty-region log retains; consumers whose
 #: marker fell off the log get a conservative "everything dirty" answer.
 _DELTA_LOG_LIMIT = 64
-
-#: Relation / attribute -> bag-matrix name, per side.  The event fast
-#: path covers exactly the paper schema's exports; anything else falls
-#: back to the fingerprint-diff path.
-_RELATION_NAMES = {
-    "left": {FOLLOW: FOLLOW_LEFT, WRITE: WRITE_LEFT},
-    "right": {FOLLOW: FOLLOW_RIGHT, WRITE: WRITE_RIGHT},
-}
-_ATTRIBUTE_NAMES = {
-    "left": {
-        TIMESTAMP: TIMESTAMP_LEFT,
-        LOCATION: LOCATION_LEFT,
-        WORD: WORD_LEFT,
-    },
-    "right": {
-        TIMESTAMP: TIMESTAMP_RIGHT,
-        LOCATION: LOCATION_RIGHT,
-        WORD: WORD_RIGHT,
-    },
-}
-_ATTRIBUTE_PAIRS = {
-    TIMESTAMP: (TIMESTAMP_LEFT, TIMESTAMP_RIGHT),
-    LOCATION: (LOCATION_LEFT, LOCATION_RIGHT),
-    WORD: (WORD_LEFT, WORD_RIGHT),
-}
-
 
 class SessionStats(CounterGroup):
     """Counters describing how much work the session avoided.
@@ -295,7 +264,9 @@ class AlignmentSession:
         Whether extracted feature matrices carry the trailing dummy
         ``1`` column.
     include_words:
-        Whether to export word matrices (required if the family uses P7).
+        Whether to export the word matrices.  The default family then
+        carries the word path P7; a family whose expressions read the
+        word matrices gets them exported either way.
     incremental:
         When ``False`` every anchor update re-counts anchor-dependent
         structures from scratch (the baseline path the benchmark
@@ -397,24 +368,32 @@ class AlignmentSession:
             Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]
         ] = []
 
-        needs_words = any("P7" in name for name in self.family.feature_names)
-        self._include_word_matrices = include_words or needs_words
-        bag = build_matrix_bag(
-            pair,
-            known_anchors=self._anchors,
-            include_words=self._include_word_matrices,
+        family_leaves = {
+            leaf for expr in self.family.exprs for leaf in expr.leaves()
+        }
+        self._include_word_matrices = include_words or any(
+            row.relation == WORD and row.name in family_leaves
+            for row in BAG_LAYOUT
         )
-        self._bag_fingerprints = bag_fingerprints(
-            pair, include_words=self._include_word_matrices
-        )
+        # Event lookups, derived from the bag layout: per side, the leaf
+        # each relation's edges land in, and per attribute, the leaf of
+        # each side's cells.  Edges and cells keep separate maps, so a
+        # relation and an attribute of one name never collide.
+        self._edge_leaves: Dict[str, Dict[str, str]] = {"left": {}, "right": {}}
+        self._attribute_leaves: Dict[str, Dict[str, str]] = {}
+        for row in bag_layout(self._include_word_matrices):
+            if row.is_attribute:
+                sides = self._attribute_leaves.setdefault(row.relation, {})
+                sides[row.side] = row.name
+            elif not row.is_anchor:
+                self._edge_leaves[row.side][row.relation] = row.name
         # Shared-vocabulary caches, synchronized with the *engine's*
         # attribute-matrix columns: value -> column maps let the event
-        # fast path patch incidence cells without re-exporting, and the
-        # cached lists detect column reordering (a fallback condition).
+        # fold patch incidence cells without re-exporting, and the
+        # cached lists detect column reordering.
         self._shared_vocab: Dict[str, List] = {}
         self._shared_vocab_index: Dict[str, Dict] = {}
-        self._refresh_vocab_cache()
-        self._engine = CountingEngine(bag, arena=self.arena)
+        self._engine = CountingEngine(self._export_bag(), arena=self.arena)
         self._structures: List[_Structure] = [
             _Structure(
                 name=name,
@@ -846,9 +825,10 @@ class AlignmentSession:
         slots) is turned directly into per-leaf sparse deltas — no
         matrix re-export, no diffing — and folded through the
         generalized delta algebra into exactly the dirty structures.
-        Events whose shape the fast path does not cover (a custom
-        schema, a shared-vocabulary reordering) fall back to the
-        re-export-and-diff path, which remains exact.  New nodes append
+        Entries that no bag matrix reads (a relation or node type of a
+        schema that extends the social one) are skipped; an attribute
+        whose shared vocabulary moved a column is re-exported, and only
+        its matrix pair is diffed.  New nodes append
         to the end of the index order and removed nodes leave
         *tombstoned* slots behind, so existing count entries, candidate
         views and extracted feature rows stay position-stable; only
@@ -962,17 +942,10 @@ class AlignmentSession:
         application: DeltaApplication,
         anchor_cells: Sequence[Tuple[int, int]],
     ) -> bool:
-        """Fold one applied event: fast path first, diff fallback second."""
-        event = self._event_leaf_deltas(application, anchor_cells)
-        if event is None:
-            # The anchor-matrix fingerprint is slot counts only; a
-            # content-only anchor removal needs an explicit stale mark.
-            force = (
-                frozenset((ANCHOR_MATRIX,)) if anchor_cells else frozenset()
-            )
-            return self._fold_network_change(force_stale=force)
-        deltas, shapes, vocab_commit = event
-        changed = self._fold_event(deltas, shapes, vocab_commit)
+        """Fold one applied event into the engine's leaves and counts."""
+        changed = self._fold_event(
+            *self._event_leaf_deltas(application, anchor_cells)
+        )
         if self.strict_deltas:
             self._verify_event_fold()
         return changed
@@ -981,50 +954,44 @@ class AlignmentSession:
         self,
         application: DeltaApplication,
         anchor_cells: Sequence[Tuple[int, int]],
-    ) -> Optional[Tuple[Dict, Dict, Dict]]:
+    ) -> Tuple[Dict, Dict, Dict, Dict]:
         """Per-leaf sparse deltas built straight from the event record.
 
-        Returns ``(deltas, shapes, vocab_commit)`` — nonzero leaf
-        deltas, the post-event shape of every bag matrix, and the
-        shared-vocabulary cache updates to commit after the fold — or
-        ``None`` when the event has a shape the fast path does not
-        cover (an unknown relation/attribute/node type, or a
-        shared-vocabulary reordering), telling the caller to fall back
-        to the fingerprint-diff path.
+        Returns ``(deltas, exports, shapes, vocabularies)``: the nonzero
+        leaf deltas, the leaves re-exported whole, the post-event shape
+        of every bag matrix, and the shared vocabularies to commit after
+        the fold.
+
+        An entry on a relation, attribute or node type that no exported
+        matrix reads is skipped; every other entry finds its leaf with
+        one dict lookup.  The exception is an attribute the cached
+        column index cannot place: a new value moved an existing
+        shared-vocabulary column (a value new to the left network lands
+        before the right-only ones), or the index lacks one of the
+        event's values.  That attribute's pair is re-exported, and its
+        deltas are the new export minus the padded old matrix.
         """
         pair = self.pair
-        user_type = pair.anchor_node_type
-        relation_names = _RELATION_NAMES[application.side]
-        attribute_names = _ATTRIBUTE_NAMES[application.side]
-        known_types = (user_type, POST)
-        for node_type, _count in application.added_slots:
-            if node_type not in known_types:
-                return None
-        for node_type, _node, _slot in application.removed_nodes:
-            if node_type not in known_types:
-                return None
-        # Shared-vocabulary growth: a pure append extends the cached
-        # value -> column map; anything that moves an existing column
-        # reorders attribute matrices and must take the diff path.
-        vocab_commit: Dict[str, List] = {}
-        indexes: Dict[str, Dict] = {}
-        for attribute, _value in application.new_vocabulary:
-            if attribute in vocab_commit:
-                continue
-            if attribute == WORD and not self._include_word_matrices:
-                continue  # word matrices are not exported; invisible
-            if attribute not in attribute_names:
-                return None
-            cached = self._shared_vocab.get(attribute)
-            if cached is None:
-                return None
-            shared = pair.shared_vocabulary(attribute)
-            if shared[: len(cached)] != cached:
-                return None  # column reordering
-            vocab_commit[attribute] = shared
-            indexes[attribute] = {
-                value: column for column, value in enumerate(shared)
-            }
+        side = application.side
+        edge_leaves = self._edge_leaves[side]
+        grown = {attribute for attribute, _value in application.new_vocabulary}
+        vocabularies: Dict[str, List] = {}
+        # attribute -> (leaf, value -> column) for this side's cells.
+        places: Dict[str, Tuple[str, Dict]] = {}
+        reexport: List[str] = []
+        for attribute, leaves in self._attribute_leaves.items():
+            if attribute not in grown:
+                index = self._shared_vocab_index[attribute]
+            else:
+                cached = self._shared_vocab[attribute]
+                shared = vocabularies[attribute] = pair.shared_vocabulary(
+                    attribute
+                )
+                if shared[: len(cached)] != cached:
+                    reexport.append(attribute)  # column reordering
+                    continue
+                index = {value: column for column, value in enumerate(shared)}
+            places[attribute] = (leaves[side], index)
 
         entries: Dict[str, Tuple[List[int], List[int], List[float]]] = {}
 
@@ -1034,207 +1001,80 @@ class AlignmentSession:
             cols.append(col)
             values.append(value)
 
-        for relation, source, target in application.inserted_edges:
-            name = relation_names.get(relation)
-            if name is None:
-                return None
-            add(name, source, target, 1.0)
-        for relation, source, target in application.removed_edges:
-            name = relation_names.get(relation)
-            if name is None:
-                return None
-            add(name, source, target, -1.0)
+        for sign, edges in (
+            (1.0, application.inserted_edges),
+            (-1.0, application.removed_edges),
+        ):
+            for relation, source, target in edges:
+                name = edge_leaves.get(relation)
+                if name is not None:
+                    add(name, source, target, sign)
         for sign, cells in (
             (1.0, application.new_attribute_cells),
             (-1.0, application.removed_attribute_cells),
         ):
             for attribute, slot, value in cells:
-                if attribute == WORD and not self._include_word_matrices:
-                    continue
-                name = attribute_names.get(attribute)
-                if name is None:
-                    return None
-                index = indexes.get(attribute)
-                if index is None:
-                    index = self._shared_vocab_index.get(attribute)
-                if index is None:
-                    return None
+                place = places.get(attribute)
+                if place is None:
+                    continue  # not exported, or re-exported whole
+                name, index = place
                 column = index.get(value)
                 if column is None:
-                    return None  # cache out of sync: stay exact
-                add(name, slot, column, sign)
+                    reexport.append(attribute)
+                    del places[attribute]
+                    entries.pop(name, None)
+                else:
+                    add(name, slot, column, sign)
         for row, col in anchor_cells:
             add(ANCHOR_MATRIX, row, col, -1.0)
 
-        shapes = self._bag_shapes(vocab_commit)
+        exports: Dict[str, sparse.csr_matrix] = {}
+        for attribute in reexport:
+            vocabularies[attribute] = pair.shared_vocabulary(attribute)
+            leaves = self._attribute_leaves[attribute]
+            exports[leaves["left"]], exports[leaves["right"]] = (
+                pair.attribute_matrices(attribute)
+            )
+        sizes = {
+            attribute: len(vocabularies.get(attribute, values))
+            for attribute, values in self._shared_vocab.items()
+        }
+        shapes = bag_shapes(pair, sizes, self._include_word_matrices)
         deltas: Dict[str, sparse.csr_matrix] = {}
         for name, (rows, cols, values) in entries.items():
             leaf_delta = entries_to_csr(rows, cols, values, shapes[name])
             if leaf_delta.nnz:
                 deltas[name] = leaf_delta
-        return deltas, shapes, vocab_commit
-
-    def _bag_shapes(
-        self, vocab_commit: Optional[Dict[str, List]] = None
-    ) -> Dict[str, Tuple[int, int]]:
-        """Current (post-event) shape of every exported bag matrix."""
-        pair = self.pair
-        user_type = pair.anchor_node_type
-        n_left = pair.left.slot_count(user_type)
-        n_right = pair.right.slot_count(user_type)
-        posts_left = pair.left.slot_count(POST)
-        posts_right = pair.right.slot_count(POST)
-        shapes: Dict[str, Tuple[int, int]] = {
-            FOLLOW_LEFT: (n_left, n_left),
-            FOLLOW_RIGHT: (n_right, n_right),
-            WRITE_LEFT: (n_left, posts_left),
-            WRITE_RIGHT: (n_right, posts_right),
-            ANCHOR_MATRIX: (n_left, n_right),
-        }
-        for attribute, (left_name, right_name) in _ATTRIBUTE_PAIRS.items():
-            if attribute == WORD and not self._include_word_matrices:
-                continue
-            if vocab_commit and attribute in vocab_commit:
-                n_vocab = len(vocab_commit[attribute])
-            else:
-                n_vocab = len(self._shared_vocab[attribute])
-            shapes[left_name] = (posts_left, n_vocab)
-            shapes[right_name] = (posts_right, n_vocab)
-        return shapes
+        for name, new in exports.items():
+            diff = (new - pad_csr(self._engine.matrix(name), new.shape)).tocsr()
+            diff.eliminate_zeros()
+            if diff.nnz:
+                deltas[name] = diff
+        return deltas, exports, shapes, vocabularies
 
     def _fold_event(
         self,
         deltas: Dict[str, sparse.csr_matrix],
+        exports: Dict[str, sparse.csr_matrix],
         shapes: Dict[str, Tuple[int, int]],
-        vocab_commit: Dict[str, List],
+        vocabularies: Dict[str, List],
     ) -> bool:
-        """Fold event-sourced leaf deltas into the engine — no diffing."""
+        """Fold event-sourced leaf deltas: delta-evaluate the dirty
+        structures, update the engine, patch the session's state."""
         changed: Dict[str, sparse.csr_matrix] = {}
         for name, shape in shapes.items():
             old = self._engine.matrix(name)
             leaf_delta = deltas.get(name)
             if leaf_delta is None and old.shape == shape:
                 continue  # untouched leaf: keep the engine's matrix as is
-            base = old if old.shape == shape else pad_csr(old, shape)
-            changed[name] = (
-                apply_delta(base, leaf_delta)
-                if leaf_delta is not None
-                else base
-            )
-        prints = bag_fingerprints(
-            self.pair, include_words=self._include_word_matrices
-        )
-        folded = self._fold_deltas(changed, deltas, shapes, prints)
-        for attribute, values in vocab_commit.items():
-            self._shared_vocab[attribute] = values
-            self._shared_vocab_index[attribute] = {
-                value: column for column, value in enumerate(values)
-            }
-        return folded
-
-    def _verify_event_fold(self) -> None:
-        """``strict_deltas``: prove the folded leaves match a fresh export."""
-        bag = build_matrix_bag(
-            self.pair,
-            known_anchors=self._anchors,
-            include_words=self._include_word_matrices,
-        )
-        for name, expected in bag.items():
-            expected = expected.tocsr()
-            actual = self._engine.matrix(name)
-            if expected.shape != actual.shape:
-                raise FeatureError(
-                    f"strict delta verification failed: {name!r} has shape "
-                    f"{actual.shape}, a fresh export has {expected.shape}"
-                )
-            difference = (expected - actual).tocsr()
-            difference.eliminate_zeros()
-            if difference.nnz:
-                raise FeatureError(
-                    f"strict delta verification failed: {name!r} differs "
-                    f"from a fresh export at {difference.nnz} entries"
-                )
-
-    def _refresh_vocab_cache(self) -> None:
-        """Rebuild the vocab caches from the pair (engine-export time)."""
-        attributes = [TIMESTAMP, LOCATION]
-        if self._include_word_matrices:
-            attributes.append(WORD)
-        for attribute in attributes:
-            values = self.pair.shared_vocabulary(attribute)
-            self._shared_vocab[attribute] = values
-            self._shared_vocab_index[attribute] = {
-                value: column for column, value in enumerate(values)
-            }
-
-    def _fold_network_change(
-        self, force_stale: frozenset = frozenset()
-    ) -> bool:
-        """Diff the pair's matrices against the engine and fold deltas.
-
-        The exact fallback for events the fast path does not cover: the
-        fingerprint-stale matrices are re-exported (O(nnz)), diffed
-        against the engine's (padded) old matrices, and the diffs fold
-        through the same delta algebra.
-        """
-        prints = bag_fingerprints(
-            self.pair, include_words=self._include_word_matrices
-        )
-        stale = {
-            name
-            for name, fingerprint in prints.items()
-            if self._bag_fingerprints.get(name) != fingerprint
-        } | set(force_stale)
-        if not stale:
-            return False
-        # Re-export only the fingerprint-stale matrices; the rest are
-        # provably identical to what the engine already holds.  The new
-        # fingerprints are committed only once the fold completes, so
-        # an exception mid-fold leaves them stale and a retry re-diffs
-        # instead of silently no-opping.
-        new_bag = build_matrix_bag(
-            self.pair,
-            known_anchors=self._anchors,
-            include_words=self._include_word_matrices,
-            only=stale,
-        )
-        changed: Dict[str, sparse.csr_matrix] = {}
-        deltas: Dict[str, sparse.csr_matrix] = {}
-        shapes = {name: matrix.shape for name, matrix in new_bag.items()}
-        for name, new in new_bag.items():
-            if name not in stale:
-                # The partner side of an attribute pair rode along in the
-                # export; its fingerprint proves it unchanged — skip the
-                # O(nnz) diff.
-                continue
-            new = new.tocsr()
-            old = self._engine.matrix(name)
-            grew = old.shape != new.shape
-            base = pad_csr(old, new.shape) if grew else old
-            diff = (new - base).tocsr()
-            diff.eliminate_zeros()
-            if not grew and diff.nnz == 0:
-                continue
+            new = exports.get(name)
+            if new is None:
+                new = pad_csr(old, shape)
+                if leaf_delta is not None:
+                    new = apply_delta(new, leaf_delta)
             changed[name] = new
-            if diff.nnz:
-                deltas[name] = diff
-        folded = self._fold_deltas(changed, deltas, shapes, prints)
-        self._refresh_vocab_cache()
-        return folded
-
-    def _fold_deltas(
-        self,
-        changed: Dict[str, sparse.csr_matrix],
-        deltas: Dict[str, sparse.csr_matrix],
-        new_shapes: Dict[str, Tuple[int, int]],
-        prints: Dict[str, Tuple[int, ...]],
-    ) -> bool:
-        """Shared fold tail: delta-evaluate, update engine, patch state."""
+        self._commit_vocabularies(vocabularies)
         if not changed:
-            # Mutation epochs can move with no matrix change (a duplicate
-            # edge add, a repeated attachment): commit the fingerprints
-            # anyway so the next event does not re-diff this one.
-            self._bag_fingerprints = prints
             return False
         self.stats.network_updates += 1
         self._store_dirty = self.arena is not None
@@ -1255,7 +1095,7 @@ class AlignmentSession:
         delta_names = frozenset(deltas)
         evaluator: Optional[DeltaEvaluator] = None
         if deltas and self.incremental:
-            evaluator = DeltaEvaluator(self._engine, deltas, shapes=new_shapes)
+            evaluator = DeltaEvaluator(self._engine, deltas, shapes=shapes)
 
         delta_structures: List[_Structure] = []
         invalidated: List[_Structure] = []
@@ -1309,8 +1149,52 @@ class AlignmentSession:
         self._apply_structure_changes(
             delta_structures, changes, invalidated_visible
         )
-        self._bag_fingerprints = prints
         return True
+
+    def _verify_event_fold(self) -> None:
+        """``strict_deltas``: prove the folded leaves match a fresh export."""
+        bag = build_matrix_bag(
+            self.pair,
+            known_anchors=self._anchors,
+            include_words=self._include_word_matrices,
+        )
+        for name, expected in bag.items():
+            expected = expected.tocsr()
+            actual = self._engine.matrix(name)
+            if expected.shape != actual.shape:
+                raise FeatureError(
+                    f"strict delta verification failed: {name!r} has shape "
+                    f"{actual.shape}, a fresh export has {expected.shape}"
+                )
+            difference = (expected - actual).tocsr()
+            difference.eliminate_zeros()
+            if difference.nnz:
+                raise FeatureError(
+                    f"strict delta verification failed: {name!r} differs "
+                    f"from a fresh export at {difference.nnz} entries"
+                )
+
+    def _export_bag(self) -> MatrixBag:
+        """Export the whole bag and re-sync the shared-vocabulary cache."""
+        self._commit_vocabularies(
+            {
+                attribute: self.pair.shared_vocabulary(attribute)
+                for attribute in self._attribute_leaves
+            }
+        )
+        return build_matrix_bag(
+            self.pair,
+            known_anchors=self._anchors,
+            include_words=self._include_word_matrices,
+        )
+
+    def _commit_vocabularies(self, vocabularies: Dict[str, List]) -> None:
+        """Point the vocabulary cache at the engine's new columns."""
+        for attribute, values in vocabularies.items():
+            self._shared_vocab[attribute] = values
+            self._shared_vocab_index[attribute] = {
+                value: column for column, value in enumerate(values)
+            }
 
     def compact(self) -> bool:
         """Rewrite live slots without tombstones and truncate the log.
@@ -1375,17 +1259,7 @@ class AlignmentSession:
                     structure.proximity = None
         # Every leaf shifted positions: rebuild the whole bag and drop
         # the engine's memoized products (their indices are stale).
-        self._engine.update_matrices(
-            build_matrix_bag(
-                self.pair,
-                known_anchors=self._anchors,
-                include_words=self._include_word_matrices,
-            )
-        )
-        self._bag_fingerprints = bag_fingerprints(
-            self.pair, include_words=self._include_word_matrices
-        )
-        self._refresh_vocab_cache()
+        self._engine.update_matrices(self._export_bag())
         with self._state_lock:
             self._views.clear()
             self._delta_log.clear()
@@ -1415,11 +1289,11 @@ class AlignmentSession:
     ) -> None:
         """Fold evaluated deltas into session state and log the dirt.
 
-        Shared tail of :meth:`set_anchors` and
-        :meth:`_fold_network_change`: applies each change serially in
-        family order, collects the touched rows/columns, and records
-        one dirty-region event (or an everything-dirty marker when a
-        structure invalidation made the region unbounded).
+        Shared tail of :meth:`set_anchors` and :meth:`_fold_event`:
+        applies each change serially in family order, collects the
+        touched rows/columns, and records one dirty-region event (or an
+        everything-dirty marker when a structure invalidation made the
+        region unbounded).
         """
         if delta_structures:
             dirty_rows: List[np.ndarray] = []
@@ -1874,17 +1748,7 @@ class AlignmentSession:
         if replayed:
             # The replay grew the pair's matrices: refresh the whole bag
             # (cheap O(nnz) exports; counts come from the snapshot).
-            self._engine.update_matrices(
-                build_matrix_bag(
-                    self.pair,
-                    known_anchors=self._anchors,
-                    include_words=self._include_word_matrices,
-                )
-            )
-            self._bag_fingerprints = bag_fingerprints(
-                self.pair, include_words=self._include_word_matrices
-            )
-            self._refresh_vocab_cache()
+            self._engine.update_matrices(self._export_bag())
         else:
             self._engine.update_matrix(ANCHOR_MATRIX, anchor_matrix)
         with self._state_lock:

@@ -16,11 +16,7 @@ from repro.meta.algebra import (
     expr_shape,
     pad_csr,
 )
-from repro.meta.context import (
-    ANCHOR_MATRIX,
-    bag_fingerprints,
-    build_matrix_bag,
-)
+from repro.meta.context import ANCHOR_MATRIX, build_matrix_bag
 from repro.meta.diagrams import (
     DiagramFamily,
     MetaDiagram,
@@ -64,7 +60,6 @@ __all__ = [
     "Parallel",
     "ProximityMatrix",
     "attribute_paths",
-    "bag_fingerprints",
     "build_matrix_bag",
     "dice_proximity",
     "dirty_expressions",

@@ -1,24 +1,15 @@
 """Typed-adjacency matrix bags for an aligned network pair.
 
-The meta-structure counting algebra works on named matrices; this module
-defines the canonical names for the paper's social schema and exports
-them from an :class:`~repro.networks.aligned.AlignedPair`:
-
-========  =============================================  ==========
-name      meaning                                        shape
-========  =============================================  ==========
-``F1``    follow adjacency, left network                 U1 x U1
-``F2``    follow adjacency, right network                U2 x U2
-``W1``    write incidence, left                          U1 x P1
-``W2``    write incidence, right                         U2 x P2
-``T1``    post-timestamp incidence, left (shared vocab)  P1 x nT
-``T2``    post-timestamp incidence, right                P2 x nT
-``L1``    post-location incidence, left                  P1 x nL
-``L2``    post-location incidence, right                 P2 x nL
-``D1``    post-word incidence, left                      P1 x nW
-``D2``    post-word incidence, right                     P2 x nW
-``A``     *known* anchor links                           U1 x U2
-========  =============================================  ==========
+The meta-structure counting algebra works on named matrices, the
+*matrix bag*.  :data:`BAG_LAYOUT` writes the bag's layout once, as one
+typed schema edge per matrix over the paper's social schema (Figure 2):
+follow adjacency ``F``, write incidence ``W``, and the post-timestamp,
+post-location and post-word incidences ``T``, ``L`` and ``D`` on the
+shared vocabularies, with suffix ``1`` for the left network and ``2``
+for the right, plus the known-anchor matrix ``A`` (U1 x U2).  The
+export (:func:`build_matrix_bag`), the shapes (:func:`bag_shapes`), the
+schema graph of :func:`repro.meta.discovery.schema_edges` and the
+session's event fold all derive from that table.
 
 Only anchors passed by the caller enter ``A`` — model code must pass the
 training/queried anchors, never the full ground truth, to avoid label
@@ -27,11 +18,13 @@ leakage through path counting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.meta.algebra import MatrixBag
 from repro.networks.aligned import AlignedPair
 from repro.networks.schema import (
+    ANCHOR,
     FOLLOW,
     LOCATION,
     POST,
@@ -55,19 +48,65 @@ WORD_RIGHT = "D2"
 ANCHOR_MATRIX = "A"
 
 
-#: Attribute-matrix name pairs keyed by the attribute type they export.
-_ATTRIBUTE_NAMES = {
-    TIMESTAMP: (TIMESTAMP_LEFT, TIMESTAMP_RIGHT),
-    LOCATION: (LOCATION_LEFT, LOCATION_RIGHT),
-    WORD: (WORD_LEFT, WORD_RIGHT),
-}
+@dataclass(frozen=True)
+class BagMatrix:
+    """One matrix of the bag: a typed edge of the aligned schema.
+
+    Rows index the ``source`` nodes of the ``side`` network.  Columns
+    index its ``target`` nodes, except on two kinds of row: the anchor
+    row (``relation`` is :data:`~repro.networks.schema.ANCHOR`), whose
+    columns are the right network's users, and the attribute rows
+    (``target`` is the attribute ``relation`` itself, the value node
+    type of Figure 2), whose columns are the attribute's shared
+    vocabulary.
+    """
+
+    name: str
+    side: str
+    relation: str
+    source: str
+    target: str
+
+    @property
+    def is_anchor(self) -> bool:
+        """Whether this is the known-anchor matrix ``A``."""
+        return self.relation == ANCHOR
+
+    @property
+    def is_attribute(self) -> bool:
+        """Whether the columns are an attribute's shared vocabulary."""
+        return self.target == self.relation
+
+
+#: The bag layout, in export order.  Everything that knows which
+#: matrices the bag holds reads this table.
+BAG_LAYOUT: Tuple[BagMatrix, ...] = (
+    BagMatrix(FOLLOW_LEFT, "left", FOLLOW, USER, USER),
+    BagMatrix(FOLLOW_RIGHT, "right", FOLLOW, USER, USER),
+    BagMatrix(WRITE_LEFT, "left", WRITE, USER, POST),
+    BagMatrix(WRITE_RIGHT, "right", WRITE, USER, POST),
+    BagMatrix(ANCHOR_MATRIX, "left", ANCHOR, USER, USER),
+    BagMatrix(TIMESTAMP_LEFT, "left", TIMESTAMP, POST, TIMESTAMP),
+    BagMatrix(TIMESTAMP_RIGHT, "right", TIMESTAMP, POST, TIMESTAMP),
+    BagMatrix(LOCATION_LEFT, "left", LOCATION, POST, LOCATION),
+    BagMatrix(LOCATION_RIGHT, "right", LOCATION, POST, LOCATION),
+    BagMatrix(WORD_LEFT, "left", WORD, POST, WORD),
+    BagMatrix(WORD_RIGHT, "right", WORD, POST, WORD),
+)
+
+
+def bag_layout(include_words: bool = True) -> Tuple[BagMatrix, ...]:
+    """The rows a bag exports: every row, less the word rows when
+    ``include_words`` is off."""
+    return tuple(
+        row for row in BAG_LAYOUT if include_words or row.relation != WORD
+    )
 
 
 def build_matrix_bag(
     pair: AlignedPair,
     known_anchors: Optional[Iterable[LinkPair]] = None,
     include_words: bool = True,
-    only: Optional[Set[str]] = None,
 ) -> MatrixBag:
     """Export the matrix bag for one aligned pair.
 
@@ -83,102 +122,44 @@ def build_matrix_bag(
     include_words:
         Whether to export the word incidence matrices (needed when the
         extended word meta path P7 is in use).
-    only:
-        Restrict the export to these matrix names (an attribute pair is
-        exported when either side is requested — the shared vocabulary
-        makes the two sides one unit).  The incremental session passes
-        the fingerprint-stale names here so an evolution event re-exports
-        only what actually changed.
     """
     anchors = list(known_anchors) if known_anchors is not None else []
-
-    def wanted(name: str) -> bool:
-        return only is None or name in only
-
+    vocabularies: Dict[str, List] = {}
     bag: MatrixBag = {}
-    if wanted(FOLLOW_LEFT):
-        bag[FOLLOW_LEFT] = pair.left.typed_adjacency(FOLLOW)
-    if wanted(FOLLOW_RIGHT):
-        bag[FOLLOW_RIGHT] = pair.right.typed_adjacency(FOLLOW)
-    if wanted(WRITE_LEFT):
-        bag[WRITE_LEFT] = pair.left.typed_adjacency(WRITE)
-    if wanted(WRITE_RIGHT):
-        bag[WRITE_RIGHT] = pair.right.typed_adjacency(WRITE)
-    if wanted(ANCHOR_MATRIX):
-        bag[ANCHOR_MATRIX] = pair.anchor_matrix(anchors)
-    attributes = [TIMESTAMP, LOCATION] + ([WORD] if include_words else [])
-    for attribute in attributes:
-        left_name, right_name = _ATTRIBUTE_NAMES[attribute]
-        if wanted(left_name) or wanted(right_name):
-            left_matrix, right_matrix = pair.attribute_matrices(attribute)
-            bag[left_name] = left_matrix
-            bag[right_name] = right_matrix
+    for row in bag_layout(include_words):
+        network = pair.left if row.side == "left" else pair.right
+        if row.is_anchor:
+            bag[row.name] = pair.anchor_matrix(anchors)
+        elif row.is_attribute:
+            if row.relation not in vocabularies:
+                vocabularies[row.relation] = pair.shared_vocabulary(
+                    row.relation
+                )
+            bag[row.name] = network.attribute_matrix(
+                row.relation, vocabularies[row.relation]
+            )
+        else:
+            bag[row.name] = network.typed_adjacency(row.relation)
     return bag
 
 
-def bag_fingerprints(
-    pair: AlignedPair, include_words: bool = True
-) -> Dict[str, Tuple[int, ...]]:
-    """Cheap change-detection fingerprints, one per bag matrix.
+def bag_shapes(
+    pair: AlignedPair,
+    vocabulary_sizes: Mapping[str, int],
+    include_words: bool = True,
+) -> Dict[str, Tuple[int, int]]:
+    """The shape of every exported bag matrix.
 
-    Each fingerprint is a tuple of strictly monotone **mutation
-    epochs** (per node type, relation and attribute — see
-    :meth:`~repro.networks.heterogeneous.HeterogeneousNetwork.node_epoch`
-    and friends) plus slot counts and per-side vocabulary sizes.
-    Unlike raw counts, epochs move under removal too (a remove+add pair
-    keeps every count equal while changing the matrix), so equal
-    fingerprints still prove the exported matrix cannot have changed.
-    Unequal fingerprints merely mean "re-export and diff" (attaching a
-    duplicate attribute value bumps an epoch but yields a zero diff —
-    conservative, never wrong).  Vocabulary sizes stay in the attribute
-    fingerprints because shared-vocabulary *reordering* shows up as a
-    left-side vocabulary growth.
+    ``vocabulary_sizes`` gives each exported attribute's shared
+    vocabulary length, the column count of its two rows.
     """
-    left, right = pair.left, pair.right
-    n_left = left.slot_count(USER)
-    n_right = right.slot_count(USER)
-    posts_left = left.slot_count(POST)
-    posts_right = right.slot_count(POST)
-    users_left = left.node_epoch(USER)
-    users_right = right.node_epoch(USER)
-    posts_epoch_left = left.node_epoch(POST)
-    posts_epoch_right = right.node_epoch(POST)
-    prints: Dict[str, Tuple[int, ...]] = {
-        FOLLOW_LEFT: (n_left, users_left, left.edge_epoch(FOLLOW)),
-        FOLLOW_RIGHT: (n_right, users_right, right.edge_epoch(FOLLOW)),
-        WRITE_LEFT: (
-            n_left,
-            posts_left,
-            users_left,
-            posts_epoch_left,
-            left.edge_epoch(WRITE),
-        ),
-        WRITE_RIGHT: (
-            n_right,
-            posts_right,
-            users_right,
-            posts_epoch_right,
-            right.edge_epoch(WRITE),
-        ),
-        ANCHOR_MATRIX: (n_left, n_right),
-    }
-    attributes = [TIMESTAMP, LOCATION] + ([WORD] if include_words else [])
-    for attribute in attributes:
-        left_name, right_name = _ATTRIBUTE_NAMES[attribute]
-        vocabulary_sizes = (
-            left.attribute_vocabulary_size(attribute),
-            right.attribute_vocabulary_size(attribute),
-        )
-        prints[left_name] = (
-            posts_left,
-            posts_epoch_left,
-            *vocabulary_sizes,
-            left.attribute_epoch(attribute),
-        )
-        prints[right_name] = (
-            posts_right,
-            posts_epoch_right,
-            *vocabulary_sizes,
-            right.attribute_epoch(attribute),
-        )
-    return prints
+    shapes: Dict[str, Tuple[int, int]] = {}
+    for row in bag_layout(include_words):
+        network = pair.left if row.side == "left" else pair.right
+        if row.is_attribute:
+            columns = vocabulary_sizes[row.relation]
+        else:
+            target = pair.right if row.is_anchor else network
+            columns = target.slot_count(row.target)
+        shapes[row.name] = (network.slot_count(row.source), columns)
+    return shapes

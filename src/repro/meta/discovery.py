@@ -35,16 +35,9 @@ from repro.exceptions import MetaStructureError
 from repro.meta.algebra import Chain, Expr, Leaf
 from repro.meta.context import (
     ANCHOR_MATRIX,
-    FOLLOW_LEFT,
-    FOLLOW_RIGHT,
-    LOCATION_LEFT,
-    LOCATION_RIGHT,
-    TIMESTAMP_LEFT,
-    TIMESTAMP_RIGHT,
-    WORD_LEFT,
-    WORD_RIGHT,
     WRITE_LEFT,
     WRITE_RIGHT,
+    bag_layout,
 )
 from repro.meta.paths import (
     ATTRIBUTE_CATEGORY,
@@ -75,21 +68,25 @@ class SchemaEdge:
 
 
 def schema_edges(include_words: bool = False) -> List[SchemaEdge]:
-    """The aligned social schema of Figure 2 as a tagged edge list."""
-    edges = [
-        SchemaEdge(FOLLOW_LEFT, ("1", "user"), ("1", "user")),
-        SchemaEdge(FOLLOW_RIGHT, ("2", "user"), ("2", "user")),
-        SchemaEdge(WRITE_LEFT, ("1", "user"), ("1", "post")),
-        SchemaEdge(WRITE_RIGHT, ("2", "user"), ("2", "post")),
-        SchemaEdge(TIMESTAMP_LEFT, ("1", "post"), ("shared", "timestamp")),
-        SchemaEdge(TIMESTAMP_RIGHT, ("2", "post"), ("shared", "timestamp")),
-        SchemaEdge(LOCATION_LEFT, ("1", "post"), ("shared", "location")),
-        SchemaEdge(LOCATION_RIGHT, ("2", "post"), ("shared", "location")),
-        SchemaEdge(ANCHOR_MATRIX, ("1", "user"), ("2", "user")),
-    ]
-    if include_words:
-        edges.append(SchemaEdge(WORD_LEFT, ("1", "post"), ("shared", "word")))
-        edges.append(SchemaEdge(WORD_RIGHT, ("2", "post"), ("shared", "word")))
+    """The aligned social schema of Figure 2 as a tagged edge list.
+
+    One edge per bag matrix of
+    :data:`~repro.meta.context.BAG_LAYOUT`: network nodes are tagged
+    ``"1"``/``"2"`` by side, attribute values ``"shared"``, and the
+    anchor edge runs from U(1) to U(2).
+    """
+    edges = []
+    for row in bag_layout(include_words):
+        tag = "1" if row.side == "left" else "2"
+        if row.is_anchor:
+            target_tag = "2"
+        elif row.is_attribute:
+            target_tag = "shared"
+        else:
+            target_tag = tag
+        edges.append(
+            SchemaEdge(row.name, (tag, row.source), (target_tag, row.target))
+        )
     return edges
 
 

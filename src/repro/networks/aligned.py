@@ -21,8 +21,8 @@ exact sparse count deltas instead of recounting
 :meth:`AlignedPair.apply_delta` returns a :class:`DeltaApplication`
 describing what *actually* changed in slot coordinates (duplicate edge
 adds are silently ignored, attribute matrices are binary, node removal
-cascades) — the record the session's event-sourced fast path folds
-without re-exporting either side.
+cascades) — the record the session's event-sourced fold turns into
+leaf deltas without re-exporting either side.
 """
 
 from __future__ import annotations

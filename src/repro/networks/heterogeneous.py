@@ -22,10 +22,10 @@ shift) for long-drift housekeeping; callers must rebuild anything
 position-derived afterwards.
 
 Every successful mutation bumps a per-type / per-relation / per-
-attribute **mutation epoch** (:meth:`node_epoch` and friends).  Unlike
-raw counts, epochs are strictly monotone under removal too, so equal
-epochs prove an exported matrix cannot have changed — the property
-:func:`repro.meta.context.bag_fingerprints` builds on.
+attribute **mutation epoch**.  Unlike raw counts, epochs are strictly
+monotone under removal too, so equal epochs prove an exported matrix
+cannot have changed — the property the matrix-export memo
+(:meth:`HeterogeneousNetwork._memoized`) builds on.
 """
 
 from __future__ import annotations
@@ -234,21 +234,6 @@ class HeterogeneousNetwork:
                 f"unknown {node_type!r} node {missing.args[0]!r} in network "
                 f"{self.name!r}"
             ) from None
-
-    def node_epoch(self, node_type: str) -> int:
-        """Mutation epoch of one node type (bumps on add/remove/compact)."""
-        self._require_node_type(node_type)
-        return self._node_epochs[node_type]
-
-    def edge_epoch(self, relation: str) -> int:
-        """Mutation epoch of one relation (bumps on add/remove)."""
-        self._require_relation(relation)
-        return self._edge_epochs[relation]
-
-    def attribute_epoch(self, attribute: str) -> int:
-        """Mutation epoch of one attribute type (bumps on attach/remove)."""
-        self._require_attribute(attribute)
-        return self._attr_epochs[attribute]
 
     # ------------------------------------------------------------------
     # Edges
@@ -558,9 +543,8 @@ class HeterogeneousNetwork:
         """A copy of the export ``key``, rebuilt when ``stamp`` moved.
 
         ``stamp`` holds the slot counts and mutation epochs the export
-        depends on (the ones :func:`repro.meta.context.bag_fingerprints`
-        trusts) plus, for attribute matrices, the exact vocabulary; equal
-        stamps prove the export unchanged.  One entry per export: a
+        depends on plus, for attribute matrices, the exact vocabulary;
+        equal stamps prove the export unchanged.  One entry per export: a
         stale entry is replaced, so churn never grows the memo.  The memo
         lives outside the instance, so it never rides a pickle, deep
         copy or checkpoint, and callers get copies, so patching a

@@ -59,7 +59,10 @@ class TestExecutors:
                 x + 1 for x in items
             ]
 
-    def test_threaded_imap_ordered_and_lazy(self):
+    @pytest.mark.parametrize(
+        "pool", [ThreadedExecutor, ProcessExecutor], ids=["thread", "process"]
+    )
+    def test_pooled_imap_ordered_and_lazy(self, pool):
         consumed = []
 
         def stream():
@@ -67,14 +70,14 @@ class TestExecutors:
                 consumed.append(i)
                 yield i
 
-        with ThreadedExecutor(2) as executor:
-            results = executor.imap(lambda x: x * 2, stream(), window=4)
+        with pool(2) as executor:
+            results = executor.imap(_square, stream(), window=4)
             first = next(results)
             assert first == 0
             # The bounded window keeps the stream from being drained
             # eagerly: at most window + yielded items were consumed.
             assert len(consumed) <= 6
-            assert list(results) == [x * 2 for x in range(1, 50)]
+            assert list(results) == [x * x for x in range(1, 50)]
 
     def test_threaded_imap_propagates_errors(self):
         def explode(x):

@@ -1,11 +1,15 @@
 """Tests for repro.engine.session."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.engine import AlignmentSession
 from repro.exceptions import FeatureError
+from repro.meta.diagrams import build_diagram_family
 from repro.meta.features import FeatureExtractor
+from repro.meta.paths import follow_paths, paths_by_name
 
 
 def _all_pairs(pair):
@@ -45,6 +49,22 @@ class TestSessionBasics:
         )
         session.known_anchors.clear()
         assert session.known_anchors == handmade_pair.anchors
+
+    def test_word_matrices_follow_the_family_leaves(self, handmade_pair):
+        """A family that reads the word matrices gets them exported,
+        whatever its word path is called."""
+        word_path = dataclasses.replace(
+            paths_by_name(include_words=True)["P7"], name="Pword"
+        )
+        family = build_diagram_family(follow_paths() + [word_path])
+        pairs = _all_pairs(handmade_pair)
+        implicit = AlignmentSession(handmade_pair, family=family)
+        explicit = AlignmentSession(
+            handmade_pair, family=family, include_words=True
+        )
+        assert np.array_equal(
+            implicit.extract(pairs), explicit.extract(pairs)
+        )
 
 
 class TestIncrementalCorrectness:
