@@ -23,14 +23,10 @@ Usage::
                                   [--workers 4] [--streamed]
                                   [--model {ridge,svm,svm-pu}] [--feature-map MAP]
                                   [--store-dir DIR]
-                                  [--executor {serial,thread,process,rpc}]
-                                  [--rpc-hosts HOST:PORT,HOST:PORT]
-                                  [--rpc-pipeline N]
+                                  [--executor {serial,thread,process}]
     python -m repro.cli engine checkpoint --store-dir DIR
                                   [--interrupt-after 3]
     python -m repro.cli engine resume --store-dir DIR
-    python -m repro.cli worker --listen HOST:PORT --store-dir DIR
-                               [--cache-bytes N] [--delay-ms MS]
     python -m repro.cli trace summarize TRACE.jsonl
     python -m repro.cli trace tree TRACE.jsonl [--trace-id ID]
 
@@ -59,19 +55,7 @@ resume`` picks the fit back up from the snapshot, runs it to
 completion, and verifies the result is byte-identical to an
 uninterrupted run.
 
-``worker`` starts a long-lived RPC worker that serves block-descriptor
-jobs to a remote driver over the content-addressed arena transport
-(see :mod:`repro.store.rpc`); a driver reaches its fleet with
-``engine --store-dir DIR --executor rpc --rpc-hosts h1:p,h2:p``.
-``--cache-bytes N`` caps the worker's blob cache with LRU eviction for
-long-lived fleets (evictions are counted in the driver's RPC metrics).
-``--rpc-pipeline N`` sets the driver's per-worker in-flight window
-(protocol v3 pipelined dispatch; ``1`` restores the blocking
-one-job-per-round-trip loop), and ``worker --delay-ms MS`` injects a
-per-frame latency on the worker — the fault-injection knob the RPC
-bench uses to demonstrate the pipelining win on a single host.
-
-``engine``, ``evolve``, ``experiment`` and ``worker`` accept
+``engine``, ``evolve`` and ``experiment`` accept
 ``--trace-out PATH`` (stream :mod:`repro.obs` spans to a JSONL file;
 read it back with ``trace summarize`` / ``trace tree``) and
 ``--log-level``/``--log-format`` (wire the package loggers through
@@ -555,31 +539,6 @@ def _cmd_engine_resume(args: argparse.Namespace) -> str:
     )
 
 
-def cmd_worker(args: argparse.Namespace) -> str:
-    """Serve RPC jobs until shut down (blocks; Ctrl-C to stop)."""
-    from repro.store.rpc import WorkerServer, parse_address
-
-    host, port = parse_address(args.listen)
-    server = WorkerServer(
-        host,
-        port,
-        args.store_dir,
-        cache_limit_bytes=args.cache_bytes,
-        delay_ms=args.delay_ms,
-    )
-    bound_host, bound_port = server.address
-    # The first stdout line is the contract test/bench spawners read to
-    # learn the bound port (--listen HOST:0 picks a free one).
-    print(f"listening on {bound_host}:{bound_port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return "worker stopped"
-
-
 def cmd_trace(args: argparse.Namespace) -> str:
     """Summarize or tree-render a trace JSONL file."""
     from repro.obs.report import (
@@ -617,9 +576,6 @@ def cmd_engine(args: argparse.Namespace) -> str:
     if args.action == "resume":
         return _cmd_engine_resume(args)
 
-    rpc_hosts = [h for h in (args.rpc_hosts or "").split(",") if h]
-    if args.executor == "rpc" and not rpc_hosts:
-        raise SystemExit("--executor rpc requires --rpc-hosts HOST:PORT,...")
     pair = foursquare_twitter_like(scale=args.scale, seed=args.seed)
     comparison = compare_incremental_paths(
         pair,
@@ -630,9 +586,7 @@ def cmd_engine(args: argparse.Namespace) -> str:
     )
     # The context managers guarantee the pool (and arena handles) are
     # released even when a diagnostic below raises.
-    with make_executor(
-        args.executor, args.workers, rpc_hosts, rpc_pipeline=args.rpc_pipeline
-    ) as executor:
+    with make_executor(args.executor, args.workers) as executor:
         with AlignmentSession(
             pair,
             known_anchors=pair.anchors,
@@ -676,7 +630,6 @@ def cmd_engine(args: argparse.Namespace) -> str:
             workers=args.workers,
             np_ratio=args.np_ratio,
             seed=args.seed,
-            addresses=rpc_hosts,
         )
         lines.extend(["", format_store_comparison(store)])
     if args.streamed or args.model != "ridge" or args.feature_map is not None:
@@ -834,31 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--executor",
         default="thread",
-        choices=["serial", "thread", "process", "rpc"],
-        help=(
-            "execution backend used when --workers > 1 "
-            "(rpc also needs --rpc-hosts)"
-        ),
-    )
-    engine.add_argument(
-        "--rpc-hosts",
-        default=None,
-        metavar="HOST:PORT,...",
-        help=(
-            "comma-separated endpoints of running "
-            "`python -m repro.cli worker` processes (--executor rpc)"
-        ),
-    )
-    engine.add_argument(
-        "--rpc-pipeline",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "per-worker in-flight job window for --executor rpc "
-            "(1 = blocking one-job-per-round-trip dispatch; "
-            "default: the executor's own depth)"
-        ),
+        choices=["serial", "thread", "process"],
+        help="execution backend used when --workers > 1",
     )
     engine.add_argument(
         "--store-dir",
@@ -884,48 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_knobs(engine)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve RPC block-descriptor jobs to a remote engine driver",
-    )
-    worker.add_argument(
-        "--listen",
-        required=True,
-        metavar="HOST:PORT",
-        help="endpoint to listen on (port 0 picks a free port)",
-    )
-    worker.add_argument(
-        "--store-dir",
-        required=True,
-        help=(
-            "local directory for the worker's content-addressed blob "
-            "cache and per-driver arena replicas"
-        ),
-    )
-    worker.add_argument(
-        "--cache-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "LRU byte cap on the shared blob cache; least-recently-used "
-            "blobs are evicted after each sync (blobs referenced by a "
-            "live replica manifest are never dropped); default: unbounded"
-        ),
-    )
-    worker.add_argument(
-        "--delay-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help=(
-            "fault injection: sleep MS milliseconds before handling each "
-            "frame, simulating network RTT (the RPC bench uses 5 ms to "
-            "make the pipelining win measurable on one host)"
-        ),
-    )
-
-    for command in (engine, evolve, experiment, worker):
+    for command in (engine, evolve, experiment):
         _add_obs_knobs(command)
 
     trace = sub.add_parser(
@@ -950,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--no-workers",
         action="store_true",
-        help="skip trace-worker-*.jsonl siblings from same-host workers",
+        help="skip trace-worker-*.jsonl siblings from process-pool workers",
     )
 
     return parser
@@ -1040,7 +929,6 @@ _COMMANDS = {
     "evolve": cmd_evolve,
     "experiment": cmd_experiment,
     "engine": cmd_engine,
-    "worker": cmd_worker,
     "trace": cmd_trace,
 }
 
@@ -1051,7 +939,7 @@ def main(argv: Sequence[str] = None) -> int:
     root = _setup_observability(args)
     if root is not None:
         # One root span per invocation: every span the command emits
-        # (driver, process workers, RPC fleet) shares its trace id.
+        # (this process and its process-pool workers) shares its trace id.
         with root:
             output = _COMMANDS[args.command](args)
     else:

@@ -401,25 +401,24 @@ def streamed_selection(
     With ``workers`` (an integer or a shared
     :class:`~repro.engine.parallel.Executor`) blocks are scored across
     a thread pool; survivors are still merged in stream order, so the
-    selection is byte-identical to a serial sweep.  A cross-process
-    executor (process pool or RPC fleet) fans blocks across workers
-    when ``score_fn`` is picklable — e.g. an
+    selection is byte-identical to a serial sweep.  A process executor
+    fans blocks across workers when ``score_fn`` is picklable — e.g. an
     :class:`~repro.store.procwork.ArenaLinearScorer` resolving features
     against a shared arena — and degrades to a serial sweep otherwise
     (a closure over live session state cannot cross the process
-    boundary).  An empty candidate space yields an empty selection,
-    never an error.
+    boundary), counting it as ``fallback.serial_sweep`` in that
+    executor's registry.  An empty candidate space yields an empty
+    selection, never an error.
     """
     executor = get_executor(workers)
     if executor.crosses_processes and not _picklable(score_fn):
+        executor.registry.counter("fallback.serial_sweep").inc()
         executor = SerialExecutor()
 
     survivor_pairs: List[LinkPair] = []
     survivor_scores: List[np.ndarray] = []
     # Streaming imap, not map: blocks flow into the executor's bounded
-    # in-flight window as the generator produces them (on an RPC fleet
-    # that window is the protocol v3 pipelined dispatch — barrier-free,
-    # so the greedy merge below never waits on a chunk boundary).
+    # in-flight window as the generator produces them.
     scored = executor.imap(
         _score_block_unit, ((score_fn, block) for block in generator.blocks())
     )

@@ -23,15 +23,12 @@ stream program against.  Three implementations exist:
   copied.  A non-picklable callable (a closure over live session state)
   degrades gracefully to inline execution, so a session handed a
   process executor still works everywhere — only the curated
-  descriptor paths actually fan across processes.
+  descriptor paths actually fan across processes.  Each such
+  degradation is counted in the executor's own :attr:`registry`
+  (``fallback.inline_map``).
 
-A fourth implementation lives in :mod:`repro.store.rpc`:
-:class:`~repro.store.rpc.RPCExecutor` honors the same contract but
-ships the picklable work units to long-lived *remote* workers over a
-content-addressed arena transport — the scale jump from one box to a
-fleet.  It is resolved here via ``make_executor("rpc", ...)`` and
-advertises itself through the :attr:`Executor.crosses_processes` flag,
-the seam dispatchers use to choose descriptor-based work units.
+The :attr:`Executor.crosses_processes` flag is the seam dispatchers use
+to choose the descriptor-based work units over closures.
 
 Determinism contract: both :meth:`Executor.map` and
 :meth:`Executor.imap` return results in the order of their inputs, never
@@ -61,26 +58,18 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
 from repro.exceptions import AlignmentError
+from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
 
-def _try_dumps(obj) -> Optional[bytes]:
-    """``obj``'s pickle, or ``None`` when it doesn't survive pickling.
-
-    The probe *is* the serialization: callers that go on to ship the
-    bytes (the RPC executor registers them as the fn blob) reuse this
-    result instead of pickling a second time.
-    """
-    try:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
-
-
 def _picklable(obj) -> bool:
     """Whether ``obj`` survives pickling (the process-pool entry fee)."""
-    return _try_dumps(obj) is not None
+    try:
+        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return False
+    return True
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -98,14 +87,13 @@ class Executor:
     workers:
         Parallelism degree; ``1`` means strictly inline execution.
     kind:
-        Short name of the execution backend (``"serial"``, ``"thread"``,
-        ``"process"`` or ``"rpc"``) — recorded in experiment runtime
-        metadata.
+        Short name of the execution backend (``"serial"``, ``"thread"``
+        or ``"process"``) — recorded in experiment runtime metadata.
     crosses_processes:
         Whether work units leave this interpreter (pickled to a process
-        pool or shipped to remote workers).  Dispatchers use this to
-        decide between closure-based work and the arena-backed block
-        descriptors of :mod:`repro.store.procwork`.
+        pool).  Dispatchers use this to decide between closure-based
+        work and the arena-backed block descriptors of
+        :mod:`repro.store.procwork`.
     """
 
     workers: int = 1
@@ -281,6 +269,13 @@ class ProcessExecutor(Executor):
     :class:`~repro.store.arena.MatrixArena`.  Result order always
     follows input order, so a process run is byte-identical to a serial
     one.
+
+    :attr:`registry` counts the degradations: ``fallback.inline_map``
+    for every ``map``/``imap`` whose callable did not pickle, and
+    ``fallback.serial_sweep`` for every
+    :func:`~repro.engine.candidates.streamed_selection` that swept
+    serially because its scorer did not pickle.  A session merges it
+    into :meth:`~repro.engine.session.AlignmentSession.metrics_snapshot`.
     """
 
     kind = "process"
@@ -294,6 +289,10 @@ class ProcessExecutor(Executor):
         self.workers = int(workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        self.registry = MetricsRegistry()
+        # Registered up front so a run without fallbacks reports 0s.
+        self.registry.counter("fallback.inline_map")
+        self.registry.counter("fallback.serial_sweep")
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -304,16 +303,21 @@ class ProcessExecutor(Executor):
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
+    def _ships(self, fn: Callable) -> bool:
+        """Whether ``fn`` can go to the pool; counts it when it cannot."""
+        if _picklable(fn):
+            return True
+        self.registry.counter("fallback.inline_map").inc()
+        logger.debug("ProcessExecutor: %r does not pickle; running inline", fn)
+        return False
+
     def map(self, fn, items):
-        if not _picklable(fn):
-            logger.debug(
-                "ProcessExecutor.map: %r does not pickle; running inline", fn
-            )
+        if not self._ships(fn):
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
 
     def imap(self, fn, items, window=None):
-        if not _picklable(fn):
+        if not self._ships(fn):
             return (fn(item) for item in items)
         return _windowed_imap(self, fn, items, window)
 
@@ -327,42 +331,18 @@ class ProcessExecutor(Executor):
         return f"ProcessExecutor(workers={self.workers})"
 
 
-def make_executor(
-    kind: str,
-    workers: int = 1,
-    addresses: Optional[Iterable[str]] = None,
-    rpc_pipeline: Optional[int] = None,
-) -> Executor:
+def make_executor(kind: str, workers: int = 1) -> Executor:
     """Build an executor from a named backend and a worker count.
 
-    The CLI's ``--executor {serial,thread,process,rpc}`` knob resolves
+    The CLI's ``--executor {serial,thread,process}`` knob resolves
     through here; ``workers <= 1`` always yields the serial executor
-    for the pooled kinds (a pool of one is just overhead).  ``"rpc"``
-    ignores ``workers`` and instead needs ``addresses`` — the
-    ``host:port`` endpoints of long-lived
-    ``python -m repro.cli worker`` processes (see
-    :class:`repro.store.rpc.RPCExecutor`); ``rpc_pipeline`` forwards
-    the ``--rpc-pipeline`` dispatch-window depth (``1`` restores the
-    blocking one-frame-per-round-trip dispatch).
+    for the pooled kinds (a pool of one is just overhead).
     """
-    if kind not in ("serial", "thread", "process", "rpc"):
+    if kind not in ("serial", "thread", "process"):
         raise AlignmentError(
             f"unknown executor kind {kind!r}; "
-            "choose from serial, thread, process, rpc"
+            "choose from serial, thread, process"
         )
-    if kind == "rpc":
-        # Imported lazily: repro.store.rpc depends on this module.
-        from repro.store.rpc import RPCExecutor
-
-        addresses = list(addresses or ())
-        if not addresses:
-            raise AlignmentError(
-                "executor kind 'rpc' needs worker addresses "
-                "(host:port, e.g. --rpc-hosts 10.0.0.2:7421,10.0.0.3:7421)"
-            )
-        if rpc_pipeline is not None:
-            return RPCExecutor(addresses, pipeline_depth=rpc_pipeline)
-        return RPCExecutor(addresses)
     if kind == "serial" or workers <= 1:
         return SerialExecutor()
     if kind == "thread":

@@ -610,7 +610,7 @@ class AlignmentSession:
 
         Merges this session's ``session.*`` counters and ``phase.*``
         histograms with the executor's registry when it has one (the
-        RPC executor's ``rpc.*`` counters), so one dict shows
+        process executor's ``fallback.*`` counters), so one dict shows
         everything about how the work was produced — the surface
         behind ``repro.cli engine diagnose`` and
         :class:`~repro.eval.experiment.RuntimeMetadata.metrics`.

@@ -312,21 +312,15 @@ class StreamedAlignmentTask:
 
         Extraction fans out across the session's executor with a
         bounded in-flight window; results arrive in stream order, so
-        sequential folds over this iterator are deterministic.  On an
-        RPC fleet that window is barrier-free (protocol v3): block
-        jobs flow into per-worker pipeline windows straight from this
-        generator, with no chunk boundary stalling the stream while a
-        slow consumer (an incremental fit folding block by block)
-        drains it.
+        sequential folds over this iterator are deterministic.
 
         With an executor whose work leaves this interpreter
         (:attr:`~repro.engine.parallel.Executor.crosses_processes` —
-        the process pool or the RPC fleet) and a store-backed session,
-        each pass first flushes a consistent snapshot to the arena and
-        then ships only block *descriptors* to the workers — matrices
-        reach them as shared memory maps (or the content-addressed
-        sync), and the extraction kernel is the session's own, so the
-        stream is byte-identical to the in-process one.
+        the process pool) and a store-backed session, each pass first
+        flushes a consistent snapshot to the arena and then ships only
+        block *descriptors* to the workers — matrices reach them as
+        shared memory maps, and the extraction kernel is the session's
+        own, so the stream is byte-identical to the in-process one.
         """
         self._maybe_retune()
         executor = self.session.executor
@@ -506,9 +500,9 @@ class StreamedAlignmentTask:
 
         The model-backend scoring sweep: each raw feature block runs
         through :func:`~repro.ml.backends.apply_model_state` (feature
-        map, scaler, linear form).  With a cross-process executor
-        (process pool or RPC fleet) and a store-backed session the
-        state ships to the workers alongside the block descriptors
+        map, scaler, linear form).  With a process executor and a
+        store-backed session the state ships to the workers alongside
+        the block descriptors
         (:func:`~repro.store.procwork.model_score_block_job`), so SVM
         decision passes and landmark transforms fan across processes;
         the worker kernel is the same function, so results are

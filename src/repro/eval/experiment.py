@@ -225,8 +225,7 @@ class RuntimeMetadata:
     workers:
         Parallelism degree of the shared session's executor.
     executor:
-        Executor backend (``"serial"``, ``"thread"``, ``"process"`` or
-        ``"rpc"``).
+        Executor backend (``"serial"``, ``"thread"`` or ``"process"``).
     store_dir:
         Directory of the disk-backed matrix store, or ``None`` for an
         in-memory run.
@@ -248,35 +247,10 @@ class RuntimeMetadata:
     compactions:
         Tombstone compactions the shared session performed during the
         run.
-    rpc_jobs_shipped:
-        Work units dispatched to remote workers when the run executed
-        on an :class:`~repro.store.rpc.RPCExecutor` (0 otherwise, as
-        for all ``rpc_*`` counters).
-    rpc_bytes_synced:
-        Arena bytes shipped over the content-addressed transport; a
-        steady-state loop over an unchanged arena re-ships nothing.
-    rpc_cache_hits:
-        Arena blobs a worker already held (content digest matched) and
-        therefore never crossed the wire.
-    rpc_retries:
-        Jobs re-queued after a worker died or timed out mid-flight.
-    rpc_stragglers:
-        Duplicate dispatches of the slowest in-flight tail.
-    rpc_bytes_shipped:
-        Total job/function envelope bytes written to workers (the
-        protocol v3 dispatch side of the wire, distinct from the arena
-        sync bytes above).
-    rpc_jobs_batched:
-        Jobs that rode a multi-job frame (protocol v3 batching); 0
-        means every job paid its own round trip.
-    rpc_fn_cache_hits:
-        Job frames that referenced a function already registered on
-        the worker by content digest instead of re-shipping its
-        pickle (protocol v3 one-shot function shipping).
     metrics:
         The full ``repro.obs`` registry snapshot at the end of the run
-        (session counters, executor ``rpc.*`` counters, phase-timing
-        histograms), as returned by
+        (session counters, the process executor's ``fallback.*``
+        counters, phase-timing histograms), as returned by
         :meth:`~repro.engine.session.AlignmentSession.metrics_snapshot`.
         The flat counters above are a legacy subset kept for older
         readers; this carries everything (persistence format 6).
@@ -290,14 +264,6 @@ class RuntimeMetadata:
     fallback_invalidations: int = 0
     removal_updates: int = 0
     compactions: int = 0
-    rpc_jobs_shipped: int = 0
-    rpc_bytes_synced: int = 0
-    rpc_cache_hits: int = 0
-    rpc_retries: int = 0
-    rpc_stragglers: int = 0
-    rpc_bytes_shipped: int = 0
-    rpc_jobs_batched: int = 0
-    rpc_fn_cache_hits: int = 0
     metrics: Optional[Dict] = None
 
 
@@ -665,7 +631,6 @@ def run_experiment(
             for name, (report, runtime) in per_method.items():
                 outcome.methods[name].reports.append(report)
                 outcome.methods[name].runtimes.append(runtime)
-        rpc = getattr(session.executor, "metrics", None)
         outcome.runtime = RuntimeMetadata(
             workers=session.workers,
             executor=session.executor.kind,
@@ -679,14 +644,6 @@ def run_experiment(
             fallback_invalidations=session.stats.fallback_invalidations,
             removal_updates=session.stats.removal_updates,
             compactions=session.stats.compactions,
-            rpc_jobs_shipped=getattr(rpc, "jobs_shipped", 0),
-            rpc_bytes_synced=getattr(rpc, "bytes_synced", 0),
-            rpc_cache_hits=getattr(rpc, "sync_cache_hits", 0),
-            rpc_retries=getattr(rpc, "retries", 0),
-            rpc_stragglers=getattr(rpc, "stragglers_redispatched", 0),
-            rpc_bytes_shipped=getattr(rpc, "bytes_shipped", 0),
-            rpc_jobs_batched=getattr(rpc, "jobs_batched", 0),
-            rpc_fn_cache_hits=getattr(rpc, "fn_cache_hits", 0),
             metrics=session.metrics_snapshot(),
         )
     logger.info(

@@ -422,7 +422,6 @@ def compare_store_paths(
     batch_size: int = 3,
     block_size: int = 1024,
     seed: int = 13,
-    addresses=None,
 ) -> StoreComparison:
     """Race a store-backed session against the in-memory baseline.
 
@@ -430,11 +429,8 @@ def compare_store_paths(
     batched anchor arrivals with in-place refresh, one streamed
     selection over the support-pruned candidate space — but the second
     run spills to ``store_dir`` and executes on
-    ``make_executor(executor, workers, addresses)``; with
-    ``executor="process"`` block scoring crosses process boundaries
-    through the shared arena, and with ``executor="rpc"`` it fans out
-    to the remote workers at ``addresses`` over the content-addressed
-    arena transport.
+    ``make_executor(executor, workers)``; with ``executor="process"``
+    block scoring crosses process boundaries through the shared arena.
     """
     from repro.engine.parallel import make_executor
 
@@ -479,7 +475,7 @@ def compare_store_paths(
             return X, selected, elapsed, entries, size
 
     X_memory, sel_memory, memory_seconds, _, _ = run(None, None)
-    with make_executor(executor, workers, addresses) as store_executor:
+    with make_executor(executor, workers) as store_executor:
         X_store, sel_store, store_seconds, entries, size = run(
             store_dir, store_executor
         )

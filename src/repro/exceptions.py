@@ -57,10 +57,6 @@ class StoreError(ReproError):
     """The disk-backed matrix store was configured or used incorrectly."""
 
 
-class RPCError(StoreError):
-    """A remote executor worker misbehaved (protocol, transport, job)."""
-
-
 class CheckpointInterrupt(ReproError):
     """Raised by a checkpoint configured to simulate a mid-run crash.
 

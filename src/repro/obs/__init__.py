@@ -4,13 +4,12 @@
 
 * :mod:`repro.obs.tracing` — a low-overhead span tracer whose
   picklable :class:`~repro.obs.tracing.TraceContext` rides
-  ``ProcessExecutor`` job payloads and the RPC frame protocol, so one
-  trace id links driver dispatch, blob sync, worker execution,
-  retries, and straggler re-dispatch across hosts;
+  ``ProcessExecutor`` job payloads, so one trace id links a run's
+  phases and the jobs its worker processes ran;
 * :mod:`repro.obs.metrics` — a registry of named counters, gauges,
-  and histograms that unifies the session, RPC, and runtime counter
-  surfaces behind one API (the legacy dataclass-shaped views —
-  ``SessionStats``, ``RPCMetrics`` — remain as thin facades);
+  and histograms that unifies the session, executor, and runtime
+  counter surfaces behind one API (the legacy dataclass-shaped view
+  ``SessionStats`` remains as a thin facade);
 * :mod:`repro.obs.logsetup` — opt-in structured ``logging``
   configuration for every ``repro.*`` module logger;
 * :mod:`repro.obs.report` — readers for the JSONL trace sink

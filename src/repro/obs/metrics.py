@@ -1,16 +1,16 @@
 """A unified registry of named counters, gauges, and histograms.
 
-Before this module the reproduction's telemetry lived in three
-unrelated attribute bags: ``SessionStats`` on the alignment session,
-``RPCMetrics`` on the RPC executor, and the ``rpc_*`` /
-``full_recounts`` fields copied into ``RuntimeMetadata`` at the end of
-an experiment.  The registry absorbs them all: every number is a named
-:class:`Counter` / :class:`Gauge` / :class:`Histogram` in a
-:class:`MetricsRegistry`, and the legacy dataclass-shaped surfaces are
-kept as :class:`CounterGroup` *views* — same attribute names, same
-``+=`` idiom, same keyword construction — so checkpoints and
-persistence files keep their exact schema while new code reads one
-``registry.snapshot()``.
+Before this module the reproduction's telemetry lived in unrelated
+attribute bags: ``SessionStats`` on the alignment session and the
+``full_recounts``-style fields copied into ``RuntimeMetadata`` at the
+end of an experiment.  The registry absorbs them: every number is a
+named :class:`Counter` / :class:`Gauge` / :class:`Histogram` in a
+:class:`MetricsRegistry` (the session's, or an executor's own, such as
+the process executor's ``fallback.*`` counters), and the legacy
+dataclass-shaped surfaces are kept as :class:`CounterGroup` *views* —
+same attribute names, same ``+=`` idiom, same keyword construction —
+so checkpoints and persistence files keep their exact schema while new
+code reads one ``registry.snapshot()``.
 
 Views detach on pickling (a pickled ``SessionStats`` carries its
 values into a private registry), which keeps copies taken mid-run —

@@ -54,14 +54,7 @@ def load_spans(
 
 
 def summarize_spans(spans: Iterable[Dict]) -> str:
-    """Per-name aggregate: count, total/mean/max elapsed seconds.
-
-    When ``rpc.dispatch`` spans are present their ``worker`` /
-    ``window`` / ``jobs`` annotations are rolled up into a per-worker
-    pipeline-occupancy table, so a saturated vs starved fleet is
-    visible from the trace file alone.
-    """
-    spans = list(spans)
+    """Per-name aggregate: count, total/mean/max elapsed seconds."""
     stats: Dict[str, List[float]] = {}
     traces = set()
     for span in spans:
@@ -85,48 +78,6 @@ def summarize_spans(spans: Iterable[Dict]) -> str:
             f"{name:<{name_width}} {len(values):>6} "
             f"{sum(values):>10.4f} {sum(values) / len(values):>10.4f} "
             f"{max(values):>10.4f}"
-        )
-    occupancy = _summarize_window_occupancy(spans)
-    if occupancy:
-        lines.extend(["", occupancy])
-    return "\n".join(lines)
-
-
-def _summarize_window_occupancy(spans: Iterable[Dict]) -> str:
-    """Per-worker pipeline window table from ``rpc.dispatch`` spans."""
-    by_worker: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        if span.get("name") != "rpc.dispatch":
-            continue
-        attrs = span.get("attributes") or {}
-        worker = attrs.get("worker")
-        window = attrs.get("window")
-        if worker is None or window is None:
-            continue
-        jobs = attrs.get("jobs")
-        n_jobs = len(jobs) if isinstance(jobs, (list, tuple)) else 1
-        row = by_worker.setdefault(
-            str(worker),
-            {"frames": 0, "jobs": 0, "window_sum": 0.0, "window_max": 0},
-        )
-        row["frames"] += 1
-        row["jobs"] += n_jobs
-        row["window_sum"] += float(window)
-        row["window_max"] = max(row["window_max"], int(window))
-    if not by_worker:
-        return ""
-    width = max(len(worker) for worker in by_worker) + 2
-    lines = [
-        "rpc pipeline window occupancy (from rpc.dispatch spans):",
-        f"{'worker':<{width}} {'frames':>7} {'jobs':>7} "
-        f"{'mean_win':>9} {'max_win':>8}",
-    ]
-    for worker in sorted(by_worker):
-        row = by_worker[worker]
-        mean = row["window_sum"] / row["frames"]
-        lines.append(
-            f"{worker:<{width}} {row['frames']:>7.0f} {row['jobs']:>7.0f} "
-            f"{mean:>9.2f} {row['window_max']:>8.0f}"
         )
     return "\n".join(lines)
 

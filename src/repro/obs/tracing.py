@@ -7,10 +7,9 @@ not).  Spans nest implicitly per thread — entering a span pushes it on
 a thread-local stack, so children recorded underneath link to it
 without any plumbing — and explicitly across pickles: a
 :class:`TraceContext` is a tiny frozen dataclass that rides
-``ProcessExecutor`` job payloads and RPC job envelopes, letting a
-worker on another host (or in another process) parent its spans on the
-driver's dispatch span.  One trace id therefore links driver dispatch,
-blob sync, remote execution, retries, and straggler re-dispatch.
+``ProcessExecutor`` job payloads, letting a worker process parent its
+spans on the dispatching process's active span.  One trace id
+therefore links a run's phases and the jobs its worker processes ran.
 
 Cost discipline:
 
@@ -62,9 +61,8 @@ class TraceContext:
 
     This is the only tracing object that crosses process or host
     boundaries.  ``sink_dir`` optionally names a directory where a
-    *same-host* worker process may append its own span file
-    (``trace-worker-<pid>.jsonl``); remote RPC workers ignore it and
-    ship their spans back inside the result envelope instead.
+    worker process may append its own span file
+    (``trace-worker-<pid>.jsonl``).
     """
 
     trace_id: str
@@ -126,29 +124,6 @@ class Span:
         self._tracer._pop(self)
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        self._emit()
-
-    # -- detached lifetime (see Tracer.span_open) ----------------------
-    def start(self) -> "Span":
-        """Start timing *without* joining the thread-local stack.
-
-        Detached spans exist for operations whose lifetimes overlap on
-        one thread — e.g. the RPC executor's pipelined dispatch window,
-        where several dispatch spans are open at once and close in
-        reply order, which the LIFO nesting stack cannot represent.
-        Finish with :meth:`finish`.
-        """
-        self._start_wall = time.time()
-        self._start_monotonic = time.monotonic()
-        return self
-
-    def finish(self, error: Optional[str] = None) -> None:
-        """Record a detached span started with :meth:`start`."""
-        if error is not None:
-            self.attributes.setdefault("error", error)
-        self._emit()
-
-    def _emit(self) -> None:
         self._tracer._record(
             {
                 "trace": self.trace_id,
@@ -174,12 +149,6 @@ class _NullSpan:
     context = None
 
     def annotate(self, **attributes) -> None:
-        pass
-
-    def start(self) -> "_NullSpan":
-        return self
-
-    def finish(self, error=None) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":
@@ -233,7 +202,7 @@ class Tracer:
     to the innermost active one on the calling thread unless an
     explicit ``parent`` (a :class:`Span` or :class:`TraceContext`) is
     given.  Records accumulate in :attr:`records` (drainable, for
-    workers that ship spans home) and stream into ``sink`` when one is
+    in-process readers) and stream into ``sink`` when one is
     attached.
     """
 
@@ -268,22 +237,6 @@ class Tracer:
             trace_id, parent_id = parent.trace_id, parent.span_id
         return Span(self, name, trace_id, parent_id, dict(attributes))
 
-    def span_open(
-        self,
-        name: str,
-        parent: Union[Span, TraceContext, None] = None,
-        **attributes,
-    ) -> Span:
-        """A *detached* span, started now, for overlapping lifetimes.
-
-        Unlike ``with tracer.span(...)``, the returned span never joins
-        the thread-local nesting stack, so several may be open at once
-        on one thread and close out of order (the pipelined RPC
-        dispatch window).  Callers must pair it with
-        :meth:`Span.finish`.
-        """
-        return self.span(name, parent=parent, **attributes).start()
-
     def current_span(self) -> Optional[Span]:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
@@ -312,13 +265,13 @@ class Tracer:
             self.sink.write(record)
 
     def ingest(self, records: Iterable[Dict]) -> None:
-        """Absorb spans produced elsewhere (a remote worker's drain)."""
+        """Absorb spans produced elsewhere (another tracer's drain)."""
         for record in records:
             if isinstance(record, dict) and "span" in record:
                 self._record(record)
 
     def drain(self) -> List[Dict]:
-        """Pop and return every buffered record (worker → envelope)."""
+        """Pop and return every buffered record."""
         with self._lock:
             records, self.records = self.records, []
         return records
@@ -333,9 +286,6 @@ class NullTracer:
     records: List[Dict] = []
 
     def span(self, name, parent=None, **attributes) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span_open(self, name, parent=None, **attributes) -> _NullSpan:
         return _NULL_SPAN
 
     def current_span(self) -> None:

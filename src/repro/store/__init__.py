@@ -13,11 +13,7 @@ restarts, built from three pieces that share one ``store_dir``:
 * :mod:`repro.store.procwork` — picklable block descriptors and job
   functions resolved against the shared arena, the work units of the
   :class:`~repro.engine.parallel.ProcessExecutor` (matrices cross
-  process boundaries as page-cache mappings, never as pickles);
-* :mod:`repro.store.rpc` — :class:`RPCExecutor` and
-  :class:`WorkerServer`, which ship those same work units to remote
-  workers over a content-addressed arena transport keyed on the
-  manifest's SHA-256 digests — the multi-host scale jump.
+  process boundaries as page-cache mappings, never as pickles).
 """
 
 from repro.store.arena import MatrixArena, as_arena
@@ -36,13 +32,6 @@ from repro.store.procwork import (
     row_sums_slot,
     score_block_job,
 )
-from repro.store.rpc import (
-    PROTOCOL_VERSION,
-    RPCExecutor,
-    RPCMetrics,
-    WorkerServer,
-    spawn_worker_process,
-)
 
 __all__ = [
     "ArenaLinearScorer",
@@ -50,15 +39,10 @@ __all__ = [
     "BlockDescriptor",
     "CHECKPOINT_FILENAME",
     "MatrixArena",
-    "PROTOCOL_VERSION",
-    "RPCExecutor",
-    "RPCMetrics",
     "SESSION_META",
     "SESSION_SLOTS",
     "SessionCheckpoint",
-    "WorkerServer",
     "as_arena",
-    "spawn_worker_process",
     "col_sums_slot",
     "counts_slot",
     "extract_block_job",

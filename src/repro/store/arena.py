@@ -48,9 +48,9 @@ logger = logging.getLogger(__name__)
 
 #: Manifest format history: **1** — entries with kind/shape/files;
 #: **2** — every entry additionally records a SHA-256 content digest per
-#: component file (``"digests"``), the key the RPC arena transport
-#: de-duplicates on.  Version-1 manifests still load — their entries
-#: simply carry no digests (and cannot be verified or synced remotely).
+#: component file (``"digests"``), which :meth:`MatrixArena.verify`
+#: checks.  Version-1 manifests still load — their entries simply carry
+#: no digests (and cannot be verified).
 _FORMAT_VERSION = 2
 
 #: Manifest format versions :meth:`MatrixArena._load_manifest` accepts.
@@ -186,7 +186,7 @@ class MatrixArena:
         with open(tmp, "wb") as handle:
             np.save(handle, np.ascontiguousarray(array))
         # Hash the finished file (cheap: the pages are still hot) so the
-        # digest covers exactly the bytes a remote sync would ship.
+        # digest covers exactly the bytes verify() will read back.
         digest = file_sha256(tmp)
         os.replace(tmp, path)
         return digest

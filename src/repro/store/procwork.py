@@ -8,9 +8,7 @@ defines the process-side of the store subsystem:
 * :class:`ArenaSpec` — where the shared state lives (``store_dir``) and
   which manifest ``version`` the driver published before dispatching;
 * :class:`BlockDescriptor` — one candidate block as index arrays, the
-  only per-task payload (a few KiB, never a matrix — small enough that
-  the RPC executor's protocol v3 batching coalesces several of these
-  jobs into one frame, amortizing per-frame latency on the wire);
+  only per-task payload (a few KiB, never a matrix);
 * module-level job functions (:func:`extract_block_job`,
   :func:`score_block_job`) that a ``ProcessPoolExecutor`` can pickle by
   reference;
@@ -82,12 +80,10 @@ class ArenaSpec:
 
     ``trace`` optionally carries the driver's
     :class:`~repro.obs.tracing.TraceContext` into the worker process:
-    when it names a ``sink_dir``, same-host workers append their job
+    when it names a ``sink_dir``, workers append their job
     spans to ``trace-worker-<pid>.jsonl`` next to the driver's trace
     file, parented on the dispatching span.  ``None`` (tracing
-    disabled) costs nothing.  Remote RPC workers see a re-mapped spec
-    *without* the trace — their spans travel back inside the result
-    envelope instead.
+    disabled) costs nothing.
     """
 
     store_dir: str

@@ -155,6 +155,11 @@ class TestProcessExecutor:
         assert ThreadedExecutor(2).kind == "thread"
         assert ProcessExecutor(2).kind == "process"
 
+    def test_crosses_processes_flags(self):
+        assert SerialExecutor.crosses_processes is False
+        assert ThreadedExecutor.crosses_processes is False
+        assert ProcessExecutor.crosses_processes is True
+
 
 class TestMakeExecutor:
     def test_named_backends(self):
@@ -170,8 +175,11 @@ class TestMakeExecutor:
         assert isinstance(make_executor("process", 0), SerialExecutor)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(AlignmentError):
-            make_executor("gpu", 4)
+        for kind in ("gpu", "rpc"):
+            with pytest.raises(
+                AlignmentError, match="choose from serial, thread, process$"
+            ):
+                make_executor(kind, 2)
 
 
 class TestExecutorLifecycle:
@@ -273,3 +281,80 @@ class TestThreadedBlockScoring:
         generator = CandidateGenerator(handmade_pair, block_size=4)
         with pytest.raises(AlignmentError, match="score function"):
             streamed_selection(generator, lambda block: np.ones(1))
+
+
+def _fallbacks(executor):
+    counters = executor.registry.snapshot()["counters"]
+    return counters["fallback.inline_map"], counters["fallback.serial_sweep"]
+
+
+class TestFallbackCounters:
+    """The process executor counts every silent degradation."""
+
+    def test_unpicklable_map_and_imap_count_inline_runs(self):
+        offset = 1
+        with ProcessExecutor(2) as executor:
+            assert executor.map(lambda v: v + offset, range(3)) == [1, 2, 3]
+            assert _fallbacks(executor) == (1, 0)
+            assert list(executor.imap(lambda v: v - offset, range(3))) == [
+                -1,
+                0,
+                1,
+            ]
+            assert _fallbacks(executor) == (2, 0)
+
+    def test_picklable_functions_count_nothing(self):
+        with ProcessExecutor(2) as executor:
+            assert executor.map(_square, range(4)) == [0, 1, 4, 9]
+            assert list(executor.imap(_square, range(4))) == [0, 1, 4, 9]
+            assert _fallbacks(executor) == (0, 0)
+
+    def test_unpicklable_scorer_counts_a_serial_sweep(self, handmade_pair):
+        with ProcessExecutor(2) as executor:
+            selected = streamed_selection(
+                CandidateGenerator(handmade_pair, block_size=2),
+                lambda block: np.ones(len(block)),
+                workers=executor,
+            )
+            assert selected
+            assert _fallbacks(executor) == (0, 1)
+
+    def test_arena_scorer_sweeps_across_processes(
+        self, tiny_synthetic_pair, tmp_path
+    ):
+        from repro.store import ArenaLinearScorer
+
+        pair = tiny_synthetic_pair
+        with AlignmentSession(
+            pair, known_anchors=pair.anchors, store=tmp_path
+        ) as session:
+            weights = np.random.default_rng(5).normal(size=session.n_features)
+            scorer = ArenaLinearScorer(spec=session.flush_store(), weights=weights)
+            serial = streamed_selection(
+                CandidateGenerator(pair, block_size=97), scorer
+            )
+            with ProcessExecutor(2) as executor:
+                fanned = streamed_selection(
+                    CandidateGenerator(pair, block_size=97),
+                    scorer,
+                    workers=executor,
+                )
+                assert _fallbacks(executor) == (0, 0)
+        assert serial  # non-trivial selection
+        assert fanned == serial
+
+    def test_counters_reach_the_session_snapshot(self, handmade_pair):
+        with ProcessExecutor(2) as executor:
+            with AlignmentSession(
+                handmade_pair, known_anchors=handmade_pair.anchors, workers=executor
+            ) as session:
+                session.extract(_all_pairs(handmade_pair))
+                streamed_selection(
+                    CandidateGenerator(handmade_pair, block_size=2),
+                    linear_scorer(session, np.ones(session.n_features)),
+                    workers=session.executor,
+                )
+                counters = session.metrics_snapshot()["counters"]
+        # Extraction maps closures over live session state: inline.
+        assert counters["fallback.inline_map"] > 0
+        assert counters["fallback.serial_sweep"] == 1

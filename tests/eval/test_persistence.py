@@ -1,5 +1,7 @@
 """Tests for repro.eval.persistence."""
 
+import re
+
 import pytest
 
 from repro.eval.experiment import MethodSpec, run_experiment
@@ -11,6 +13,20 @@ from repro.eval.persistence import (
 )
 from repro.eval.protocol import ProtocolConfig
 from repro.exceptions import ExperimentError
+
+#: The multi-host executor's runtime counters of formats 5-7.
+_V5_RPC_KEYS = (
+    "rpc_jobs_shipped",
+    "rpc_bytes_synced",
+    "rpc_cache_hits",
+    "rpc_retries",
+    "rpc_stragglers",
+)
+_V7_RPC_KEYS = _V5_RPC_KEYS + (
+    "rpc_bytes_shipped",
+    "rpc_jobs_batched",
+    "rpc_fn_cache_hits",
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +90,9 @@ class TestRuntimeMetadata:
 
     def test_runtime_round_trips(self, outcome):
         payload = outcome_to_dict(outcome)
-        assert payload["format_version"] == 7
+        assert payload["format_version"] == 8
         assert payload["runtime"]["executor"] == "serial"
         assert payload["runtime"]["fallback_invalidations"] >= 0
-        assert payload["runtime"]["rpc_bytes_shipped"] == 0
         restored = outcome_from_dict(payload)
         assert restored.runtime == outcome.runtime
 
@@ -96,16 +111,9 @@ class TestRuntimeMetadata:
     def test_version6_payload_without_dispatch_counters_loads(self, outcome):
         payload = outcome_to_dict(outcome)
         payload["format_version"] = 6
-        for key in (
-            "rpc_bytes_shipped",
-            "rpc_jobs_batched",
-            "rpc_fn_cache_hits",
-        ):
-            payload["runtime"].pop(key)
+        payload["runtime"].update({key: 0 for key in _V5_RPC_KEYS})
         restored = outcome_from_dict(payload)
-        assert restored.runtime.rpc_bytes_shipped == 0
-        assert restored.runtime.rpc_jobs_batched == 0
-        assert restored.runtime.rpc_fn_cache_hits == 0
+        assert restored.runtime == outcome.runtime
 
     def test_version5_payload_without_metrics_loads(self, outcome):
         payload = outcome_to_dict(outcome)
@@ -135,3 +143,83 @@ class TestRuntimeMetadata:
         assert set(restored.methods) == set(outcome.methods)
         for name in outcome.methods:
             assert restored.methods[name].reports == outcome.methods[name].reports
+
+    def test_version7_payload_with_rpc_counters_loads(self, outcome):
+        payload = outcome_to_dict(outcome)
+        payload["format_version"] = 7
+        payload["runtime"].update(
+            {key: 10 + i for i, key in enumerate(_V7_RPC_KEYS)}
+        )
+        restored = outcome_from_dict(payload)
+        # Every other runtime field, the metrics snapshot included,
+        # survives the dropped keys.
+        assert restored.runtime.metrics is not None
+        assert restored.runtime == outcome.runtime
+
+
+class TestMalformedPayloads:
+    """Every unknown or missing key fails at the boundary, by name."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("config"), "outcome is missing key 'config'"),
+            (lambda p: p.pop("methods"), "outcome is missing key 'methods'"),
+            (lambda p: p.update(extra=1), "outcome has unknown key 'extra'"),
+            (
+                lambda p: p["config"].update(alpha=0.5),
+                "config has unknown key 'alpha'",
+            ),
+            (
+                lambda p: p["config"].pop("seed"),
+                "config is missing key 'seed'",
+            ),
+            (
+                lambda p: p["methods"]["SVM-MPMD"].pop("runtimes"),
+                "method 'SVM-MPMD' is missing key 'runtimes'",
+            ),
+            (
+                lambda p: p["methods"]["SVM-MPMD"]["reports"][0].update(auc=1),
+                "method 'SVM-MPMD' report 0 has unknown key 'auc'",
+            ),
+            (
+                lambda p: p["methods"]["SVM-MPMD"]["reports"][1].pop("f1"),
+                "method 'SVM-MPMD' report 1 is missing key 'f1'",
+            ),
+            (
+                lambda p: p["runtime"].update(bogus=3),
+                "runtime has unknown key 'bogus'",
+            ),
+            (
+                lambda p: p["runtime"].pop("metrics"),
+                "runtime is missing key 'metrics'",
+            ),
+            (
+                lambda p: p["runtime"].update(rpc_retries=0),
+                "runtime has unknown key 'rpc_retries'",
+            ),
+            (lambda p: p.update(config=[5]), "config must be an object"),
+        ],
+    )
+    def test_rejected_with_section_and_key(self, outcome, edit, message):
+        payload = outcome_to_dict(outcome)
+        edit(payload)
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            outcome_from_dict(payload)
+
+    def test_runtime_key_newer_than_the_format_may_be_absent(self, outcome):
+        payload = outcome_to_dict(outcome)
+        payload["format_version"] = 3
+        for key in ("removal_updates", "compactions", "metrics"):
+            payload["runtime"].pop(key)
+        restored = outcome_from_dict(payload)
+        assert restored.runtime.compactions == 0
+        assert restored.runtime.metrics is None
+
+    def test_rpc_keys_dropped_only_from_formats_five_to_seven(self, outcome):
+        payload = outcome_to_dict(outcome)
+        payload["format_version"] = 4
+        payload["runtime"].pop("metrics")
+        payload["runtime"]["rpc_retries"] = 2
+        with pytest.raises(ExperimentError, match="unknown key 'rpc_retries'"):
+            outcome_from_dict(payload)

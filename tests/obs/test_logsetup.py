@@ -34,12 +34,12 @@ def test_text_format_emits_aligned_lines():
 def test_json_format_carries_extra_fields():
     stream = io.StringIO()
     logging_setup(level="debug", fmt="json", stream=stream)
-    logging.getLogger("repro.store.rpc").debug(
+    logging.getLogger("repro.engine.parallel").debug(
         "synced", extra={"worker": "h:1", "blobs": 3}
     )
     record = json.loads(stream.getvalue())
     assert record["level"] == "DEBUG"
-    assert record["logger"] == "repro.store.rpc"
+    assert record["logger"] == "repro.engine.parallel"
     assert record["message"] == "synced"
     assert record["worker"] == "h:1"
     assert record["blobs"] == 3

@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-from repro.store.rpc import RPCMetrics
 
 
 class TestPrimitives:
@@ -192,9 +191,3 @@ class TestLegacyViews:
         assert stats.registry.snapshot()["counters"][
             "session.delta_updates"
         ] == 1
-
-    def test_rpc_metrics_namespace(self):
-        metrics = RPCMetrics(jobs_shipped=7)
-        assert metrics.registry.snapshot()["counters"][
-            "rpc.jobs_shipped"
-        ] == 7

@@ -1,57 +1,20 @@
-"""Trace-context propagation across executor and fault boundaries.
+"""Trace-context propagation across the process-executor boundary.
 
-The acceptance bar for the tracing subsystem: one trace id in the
-driver's JSONL must link a block-score job across an RPC worker kill,
-re-queue, and straggler re-dispatch — and same-host process-pool
-workers must parent their job spans on the driver's active span.
-Workers run in-process (:class:`WorkerServer` on daemon threads), the
-same harness as ``tests/store/test_rpc.py``, so a mid-job kill is
-deterministic.
+The acceptance bar for the tracing subsystem: process-pool workers must
+parent their job spans on the dispatching process's active span, under
+its trace id.
 """
-
-import logging
-import socket
-import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.engine import AlignmentSession, ProcessExecutor
 from repro.eval.protocol import ProtocolConfig, build_splits
-from repro.exceptions import RPCError
 from repro.obs import configure_tracing
 from repro.obs.report import load_spans
-from repro.store import BlockDescriptor, extract_block_job, score_block_job
-from repro.store.rpc import (
-    RPCExecutor,
-    WorkerServer,
-    _WorkerLink,
-    recv_frame,
-    send_frame,
-)
-
-# Gate shared by the slow job below: score jobs block until the test
-# releases them, which pins "worker is mid-job" deterministically.
-_RELEASE = threading.Event()
+from repro.store import BlockDescriptor, extract_block_job
 
 N_JOBS = 8
-
-
-def _square(value):
-    return value * value
-
-
-def _gated_score(job):
-    _RELEASE.wait(timeout=10.0)
-    return score_block_job(job)
-
-
-@pytest.fixture(autouse=True)
-def _reset_release():
-    _RELEASE.clear()
-    yield
-    _RELEASE.set()  # unblock any job thread a failing test left behind
 
 
 @pytest.fixture(scope="module")
@@ -79,255 +42,6 @@ def _descriptors(pair, candidates):
         )
         for start, stop in _block_bounds(len(candidates))
     ]
-
-
-class TestRPCFaultPathTrace:
-    def test_kill_requeue_redispatch_share_one_trace(
-        self, workload, tmp_path
-    ):
-        pair, split, candidates = workload
-        trace_path = tmp_path / "trace" / "driver.jsonl"
-        configure_tracing(trace_path)
-
-        outcome = {}
-        with AlignmentSession(
-            pair,
-            known_anchors=split.train_positive_pairs,
-            store=tmp_path / "store",
-        ) as session:
-            X = session.extract(candidates)
-            weights = np.random.default_rng(5).normal(
-                size=session.n_features
-            )
-            spec = session.flush_store()
-            jobs = [
-                (spec, descriptor, weights)
-                for descriptor in _descriptors(pair, candidates)
-            ]
-
-            servers = [
-                WorkerServer(
-                    "127.0.0.1", 0, tmp_path / f"worker{i}"
-                ).start()
-                for i in range(2)
-            ]
-            executor = RPCExecutor(
-                ["%s:%d" % server.address for server in servers],
-                timeout=10.0,
-                retries=2,
-                backoff=0.01,
-            )
-            try:
-
-                def run():
-                    outcome["results"] = executor.map(_gated_score, jobs)
-
-                mapper = threading.Thread(target=run)
-                mapper.start()
-                # Give both links time to ship their first (gated) job,
-                # then kill one worker while that job is in flight.
-                time.sleep(0.3)
-                servers[1].stop()
-                _RELEASE.set()
-                mapper.join(timeout=30.0)
-                assert not mapper.is_alive()
-                assert executor.metrics.workers_lost == 1
-                assert executor.metrics.retries >= 1
-            finally:
-                executor.close()
-                for server in servers:
-                    server.stop()
-
-        # The kill changed nothing about the answer: every block scored
-        # remotely is byte-identical to the in-process block product.
-        # (Blockwise, not against the full X @ weights — BLAS takes a
-        # different path for the full matrix and may differ in the
-        # last float bit.)
-        assert [offset for offset, _ in outcome["results"]] == [
-            start for start, _ in _block_bounds(len(candidates))
-        ]
-        for (offset, scores), (start, stop) in zip(
-            outcome["results"], _block_bounds(len(candidates))
-        ):
-            assert np.array_equal(scores, X[start:stop] @ weights)
-
-        spans = load_spans(trace_path, include_workers=False)
-        (map_span,) = [s for s in spans if s["name"] == "rpc.map"]
-        trace_id = map_span["trace"]
-
-        # Every sync and dispatch hangs off the one map span.
-        syncs = [s for s in spans if s["name"] == "rpc.sync"]
-        dispatches = [s for s in spans if s["name"] == "rpc.dispatch"]
-        assert len(syncs) == 2
-        assert len(dispatches) >= N_JOBS
-        for span in syncs + dispatches:
-            assert span["trace"] == trace_id
-            assert span["parent"] == map_span["span"]
-
-        # The killed worker's in-flight dispatch errored and its jobs
-        # (the frame's whole batch) were re-queued under the same
-        # trace...
-        errored = {
-            job
-            for s in dispatches
-            if "error" in s["attributes"]
-            for job in s["attributes"]["jobs"]
-        }
-        assert errored
-        requeues = [s for s in spans if s["name"] == "rpc.requeue"]
-        assert requeues
-        requeued = set()
-        for span in requeues:
-            assert span["trace"] == trace_id
-            assert span["parent"] == map_span["span"]
-            requeued.update(span["attributes"]["jobs"])
-        assert requeued
-
-        # ...and every re-queued job was later dispatched successfully.
-        for job in requeued:
-            assert any(
-                job in s["attributes"]["jobs"]
-                and "error" not in s["attributes"]
-                for s in dispatches
-            ), f"re-queued job {job} never re-dispatched"
-
-        # Worker-side spans came home in result envelopes, parented on
-        # the exact dispatch that shipped them — including at least one
-        # re-queued job, which closes the kill -> re-dispatch link.
-        worker_spans = [s for s in spans if s["name"] == "rpc.worker.job"]
-        dispatch_ids = {s["span"] for s in dispatches}
-        assert worker_spans
-        for span in worker_spans:
-            assert span["trace"] == trace_id
-            assert span["parent"] in dispatch_ids
-        executed = {s["attributes"]["job"] for s in worker_spans}
-        assert requeued & executed
-
-    def test_straggler_redispatch_spans_marked_duplicate(
-        self, workload, tmp_path
-    ):
-        pair, split, candidates = workload
-        trace_path = tmp_path / "trace" / "driver.jsonl"
-        configure_tracing(trace_path)
-
-        with AlignmentSession(
-            pair,
-            known_anchors=split.train_positive_pairs,
-            store=tmp_path / "store",
-        ) as session:
-            spec = session.flush_store()
-            weights = np.zeros(session.n_features)
-            jobs = [
-                (spec, descriptor, weights)
-                for descriptor in _descriptors(pair, candidates)
-            ]
-            servers = [
-                WorkerServer(
-                    "127.0.0.1", 0, tmp_path / f"worker{i}"
-                ).start()
-                for i in range(2)
-            ]
-            executor = RPCExecutor(
-                ["%s:%d" % server.address for server in servers],
-                timeout=10.0,
-                retries=2,
-                backoff=0.01,
-                straggler_redispatch=True,
-            )
-            try:
-                _RELEASE.set()  # nothing gated: plain fast run
-                results = executor.map(_gated_score, jobs)
-                assert len(results) == N_JOBS
-            finally:
-                executor.close()
-                for server in servers:
-                    server.stop()
-
-        spans = load_spans(trace_path, include_workers=False)
-        dispatches = [s for s in spans if s["name"] == "rpc.dispatch"]
-        # Duplicate dispatches are allowed (that is the straggler
-        # defence) but must be explicit in the trace, and every span
-        # records its position in the pipeline window.
-        assert all("duplicate" in s["attributes"] for s in dispatches)
-        assert all(s["attributes"]["window"] >= 1 for s in dispatches)
-        completed = {
-            job
-            for s in dispatches
-            if not s["attributes"]["duplicate"]
-            for job in s["attributes"]["jobs"]
-        }
-        assert completed == set(range(N_JOBS))
-
-
-class _V1Listener:
-    """Speaks just enough framing to refuse a v2 driver like an old worker."""
-
-    def __init__(self):
-        self.sock = socket.socket()
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(4)
-        self.address = "%s:%d" % self.sock.getsockname()
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        while True:
-            try:
-                conn, _ = self.sock.accept()
-            except OSError:
-                return  # stop() closed the listening socket
-            with conn:
-                try:
-                    recv_frame(conn)  # the driver's v2 hello
-                    send_frame(
-                        conn,
-                        {
-                            "kind": "error",
-                            "error": (
-                                "protocol 2 unsupported; worker speaks 1"
-                            ),
-                        },
-                    )
-                except Exception:
-                    pass
-
-    def stop(self):
-        self.sock.close()
-        self.thread.join(timeout=5.0)
-
-
-class TestOldProtocolRefusal:
-    def test_handshake_surfaces_worker_error(self):
-        listener = _V1Listener()
-        try:
-            link = _WorkerLink(listener.address, connect_timeout=2.0)
-            with pytest.raises(
-                RPCError,
-                match="worker refused handshake: protocol 2 unsupported; "
-                "worker speaks 1",
-            ):
-                link.connect(timeout=5.0)
-        finally:
-            listener.stop()
-
-    def test_executor_warns_and_falls_back_inline(self, caplog):
-        listener = _V1Listener()
-        executor = RPCExecutor(
-            [listener.address], connect_timeout=2.0, retries=0, backoff=0.01
-        )
-        try:
-            with caplog.at_level(logging.WARNING, logger="repro.store.rpc"):
-                assert executor.map(_square, range(4)) == [0, 1, 4, 9]
-            assert executor.metrics.serial_fallbacks == 1
-            assert executor.metrics.jobs_shipped == 0
-            messages = [r.getMessage() for r in caplog.records]
-            assert any(
-                "worker refused handshake" in m and "worker speaks 1" in m
-                for m in messages
-            )
-        finally:
-            executor.close()
-            listener.stop()
 
 
 class TestProcessPoolPropagation:

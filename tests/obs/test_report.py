@@ -76,38 +76,6 @@ class TestSummarize:
     def test_empty_input(self):
         assert summarize_spans([]) == "no spans"
 
-    def test_rpc_dispatch_spans_roll_up_per_worker_occupancy(self):
-        def dispatch(worker, window, jobs):
-            return {
-                "trace": "t",
-                "span": f"{worker}-{window}",
-                "name": "rpc.dispatch",
-                "ts": 1.0,
-                "elapsed": 0.01,
-                "attributes": {
-                    "worker": worker,
-                    "window": window,
-                    "jobs": jobs,
-                },
-            }
-
-        spans = [
-            dispatch("host-a:1", 1, [0, 1]),
-            dispatch("host-a:1", 2, [2]),
-            dispatch("host-b:2", 1, [3]),
-        ]
-        text = summarize_spans(spans)
-        assert "rpc pipeline window occupancy" in text
-        row_a = next(
-            line for line in text.splitlines() if "host-a:1" in line
-        )
-        # 2 frames, 3 jobs, mean window (1+2)/2, max window 2.
-        assert row_a.split()[1:] == ["2", "3", "1.50", "2"]
-        row_b = next(
-            line for line in text.splitlines() if "host-b:2" in line
-        )
-        assert row_b.split()[1:] == ["1", "1", "1.00", "1"]
-
     def test_no_occupancy_table_without_dispatch_spans(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_trace(path)

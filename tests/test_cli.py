@@ -25,6 +25,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["engine", "--executor", "rpc"], "invalid choice: 'rpc'"),
+            (
+                ["worker", "--listen", "127.0.0.1:0", "--store-dir", "D"],
+                "invalid choice: 'worker'",
+            ),
+        ],
+    )
+    def test_removed_executor_surface_is_a_usage_error(self, capsys, argv, complaint):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert complaint in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table2(self, capsys):

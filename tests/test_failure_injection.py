@@ -6,8 +6,6 @@ corruption, asserting the library raises typed errors instead of
 producing plausible-looking nonsense.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -20,17 +18,6 @@ from repro.exceptions import (
     ExperimentError,
     ModelError,
 )
-
-
-# Gate for the RPC window-kill test below: jobs block until released,
-# pinning "worker holds a full unacknowledged window" deterministically
-# (workers run in-process, so the event is shared).
-_GATE = threading.Event()
-
-
-def _gated_identity(value):
-    _GATE.wait(timeout=10.0)
-    return value
 
 
 def _task(X=None, n=6):
@@ -141,67 +128,6 @@ class TestProtocolEdges:
 
         with pytest.raises(ExperimentError, match="cannot sample"):
             sample_negatives(handmade_pair, 10_000, np.random.default_rng(0))
-
-
-class TestPipelineWindowKill:
-    """Killing a worker with a full pipeline window re-queues exactly
-    the unacknowledged jobs in that window — no loss, no invention.
-
-    The job function gates on an event, so the victim provably holds
-    ``pipeline_depth`` dispatched-but-unanswered frames when it dies
-    (batching is off: one job per frame, making the count exact).
-    """
-
-    def test_full_window_requeued_exactly(self, tmp_path):
-        import time
-
-        from repro.store.rpc import RPCExecutor, WorkerServer
-
-        depth = 4
-        items = list(range(12))
-
-        servers = [
-            WorkerServer("127.0.0.1", 0, tmp_path / f"worker{i}").start()
-            for i in range(2)
-        ]
-        executor = RPCExecutor(
-            ["%s:%d" % server.address for server in servers],
-            timeout=10.0,
-            retries=2,
-            backoff=0.01,
-            pipeline_depth=depth,
-            batch_bytes=0,
-        )
-        outcome = {}
-        try:
-
-            def run():
-                outcome["results"] = executor.map(_gated_identity, items)
-
-            _GATE.clear()
-            mapper = threading.Thread(target=run)
-            mapper.start()
-            # Each worker blocks on its first gated job while the
-            # driver fills the rest of its window: both links now hold
-            # `depth` unacknowledged frames.
-            time.sleep(0.3)
-            servers[1].stop()
-            _GATE.set()
-            mapper.join(timeout=30.0)
-            assert not mapper.is_alive()
-        finally:
-            _GATE.set()
-            executor.close()
-            for server in servers:
-                server.stop()
-
-        # The answer is exact despite the mid-window kill...
-        assert outcome["results"] == items
-        # ...and the retry count equals the victim's window: every
-        # unacknowledged job was re-queued, and nothing else was.
-        assert executor.metrics.workers_lost == 1
-        assert executor.metrics.retries == depth
-        assert executor.metrics.inline_jobs == 0
 
 
 class TestPUCheckpointResume:
