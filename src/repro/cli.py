@@ -79,6 +79,7 @@ from repro.eval.plots import ascii_line_chart, sparkline
 from repro.eval.protocol import ProtocolConfig
 from repro.eval.report import format_single_outcome, format_sweep_table
 from repro.eval.timing import format_timing, scalability_study
+from repro.exceptions import ExperimentError
 from repro.networks.stats import aligned_pair_stats, format_table2
 
 
@@ -557,7 +558,12 @@ def cmd_trace(args: argparse.Namespace) -> str:
 
 
 def cmd_engine(args: argparse.Namespace) -> str:
-    """Engine diagnostics, plus the checkpoint/resume workflow."""
+    """Engine diagnostics, plus the checkpoint/resume workflow.
+
+    Every race the diagnostics print is an exactness check: the command
+    raises :class:`~repro.exceptions.ExperimentError` (report attached)
+    when any of them is not byte-identical, so a CI step fails on it.
+    """
     from repro.engine import AlignmentSession, CandidateGenerator, make_executor
     from repro.eval.timing import (
         compare_incremental_paths,
@@ -584,6 +590,8 @@ def cmd_engine(args: argparse.Namespace) -> str:
         batch_size=args.batch,
         seed=args.seed,
     )
+    # (race, identical?) for every comparison the report prints.
+    verdicts = [("incremental vs full recompute", comparison.identical_labels)]
     # The context managers guarantee the pool (and arena handles) are
     # released even when a diagnostic below raises.
     with make_executor(args.executor, args.workers) as executor:
@@ -622,6 +630,7 @@ def cmd_engine(args: argparse.Namespace) -> str:
             seed=args.seed,
         )
         lines.extend(["", format_parallel_comparison(parallel)])
+        verdicts.append(("threaded vs serial", parallel.identical))
     if args.store_dir is not None:
         store = compare_store_paths(
             pair,
@@ -632,6 +641,7 @@ def cmd_engine(args: argparse.Namespace) -> str:
             seed=args.seed,
         )
         lines.extend(["", format_store_comparison(store)])
+        verdicts.append(("store vs in-memory", store.identical))
     if args.streamed or args.model != "ridge" or args.feature_map is not None:
         streamed = compare_streamed_fit(
             pair,
@@ -644,7 +654,19 @@ def cmd_engine(args: argparse.Namespace) -> str:
             unlabeled_C=args.unlabeled_c,
         )
         lines.extend(["", format_streamed_fit(streamed)])
-    return "\n".join(lines)
+        verdicts.append(
+            (
+                "streamed vs materialized fit",
+                streamed.identical_queries and streamed.identical_labels,
+            )
+        )
+    report = "\n".join(lines)
+    differing = [race for race, identical in verdicts if not identical]
+    if differing:
+        raise ExperimentError(
+            f"engine outputs differ ({', '.join(differing)}):\n{report}"
+        )
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:

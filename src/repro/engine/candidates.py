@@ -2,8 +2,10 @@
 
 The full candidate space H is the cross product |U1| x |U2| — millions
 of pairs already at modest network sizes, far too many to materialize
-as a Python list of tuples.  :class:`CandidateGenerator` streams H in
-blocks and prunes it two ways:
+as a Python list of tuples.  :class:`CandidateGenerator` streams H as
+*position blocks* — :class:`~repro.store.procwork.BlockDescriptor`
+slot arrays, the ``(source ids, destination ids)`` edge form — and
+prunes it two ways:
 
 * **degree pruning** — users whose follow degrees differ by more than a
   ratio are unlikely counterparts (degree is roughly preserved across
@@ -21,12 +23,16 @@ blocks and prunes it two ways:
 selector over the stream block by block.  It is *exact*: the greedy
 selector never labels a link with score ≤ threshold positive, so only
 the above-threshold survivors of each block need to be retained for the
-final global selection.
+final global selection.  Scoring gathers one feature block per position
+block (:meth:`AlignmentSession.gather
+<repro.engine.session.AlignmentSession.gather>`), survivors stay slot
+positions through the greedy walk, and only the picks become
+``(left_user, right_user)`` tuples.  :meth:`CandidateGenerator.pairs`
+names the whole stream for consumers that need tuples.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -38,14 +44,12 @@ from repro.engine.parallel import (
     _picklable,
     get_executor,
 )
-from repro.exceptions import AlignmentError
-from repro.matching.greedy import greedy_link_selection
+from repro.exceptions import AlignmentError, ConstraintViolationError
+from repro.matching.greedy import greedy_walk
 from repro.networks.aligned import AlignedPair
 from repro.networks.schema import FOLLOW
+from repro.store.procwork import BlockDescriptor
 from repro.types import LinkPair, NodeId
-
-#: A block of candidate pairs produced by the generator.
-CandidateBlock = List[LinkPair]
 
 
 def _follow_degrees(network) -> np.ndarray:
@@ -274,43 +278,37 @@ class CandidateGenerator:
         return self
 
     # ------------------------------------------------------------------
-    def _rows(self) -> Iterator[Tuple[NodeId, np.ndarray]]:
-        """``(left_user, admissible columns)`` per live row with any.
+    def _positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-major ``(rows, cols)`` slot arrays of every candidate.
 
-        The one per-row filter behind :meth:`count` and :meth:`blocks`:
-        mask row (or every column) and degree ratio, then tombstoned
-        right slots (their mask bits are stale), then exclusions —
-        resolved once per pass to linearized ``i * n_right + j`` keys.
-        Column order is the mask's stored order.
+        One vectorized pass over the mask's entries in stored column
+        order (or over the full cross product): the degree ratio, then
+        tombstoned slots on either side (a dead row's or column's mask
+        bits are stale), then exclusions, resolved once to linearized
+        ``i * n_right + j`` keys.  Behind :meth:`count` and
+        :meth:`blocks`.
         """
-        n_right = len(self._right_users)
-        live = np.array([user is not None for user in self._right_users], dtype=bool)
+        n_left, n_right = len(self._left_users), len(self._right_users)
+        if self._allowed is not None:
+            rows = np.repeat(
+                np.arange(n_left, dtype=np.int64), np.diff(self._allowed.indptr)
+            )
+            cols = self._allowed.indices.astype(np.int64)
+        else:
+            rows = np.repeat(np.arange(n_left, dtype=np.int64), n_right)
+            cols = np.tile(np.arange(n_right, dtype=np.int64), n_left)
+        keep = _live(self._left_users)[rows] & _live(self._right_users)[cols]
+        if self.max_degree_ratio is not None:
+            left_degrees = 1.0 + self._left_degrees[rows]
+            right_degrees = 1.0 + self._right_degrees[cols]
+            ratio = np.maximum(
+                left_degrees / right_degrees, right_degrees / left_degrees
+            )
+            keep &= ratio <= self.max_degree_ratio
         excluded = self._excluded_keys(n_right)
-        for i, left_user in enumerate(self._left_users):
-            if left_user is None:
-                continue  # tombstoned slot
-            if self._allowed is not None:
-                start, end = self._allowed.indptr[i], self._allowed.indptr[i + 1]
-                columns = self._allowed.indices[start:end]
-            else:
-                columns = np.arange(n_right)
-            if self.max_degree_ratio is not None and columns.size:
-                left_degree = 1.0 + self._left_degrees[i]
-                right_degrees = 1.0 + self._right_degrees[columns]
-                ratio = np.maximum(
-                    left_degree / right_degrees, right_degrees / left_degree
-                )
-                columns = columns[ratio <= self.max_degree_ratio]
-            columns = columns[live[columns]]
-            if excluded.size:
-                first, last = np.searchsorted(
-                    excluded, (i * n_right, (i + 1) * n_right)
-                )
-                if first < last:
-                    row_excluded = excluded[first:last] - i * n_right
-                    columns = columns[~np.isin(columns, row_excluded)]
-            if columns.size:
-                yield left_user, columns
+        if excluded.size:
+            keep &= ~np.isin(rows * n_right + cols, excluded)
+        return rows[keep], cols[keep]
 
     def _excluded_keys(self, n_right: int) -> np.ndarray:
         """Sorted linearized keys of the exclusions naming live slots."""
@@ -331,53 +329,91 @@ class CandidateGenerator:
 
     def count(self) -> int:
         """Number of candidate pairs the stream will produce."""
-        return sum(columns.size for _, columns in self._rows())
+        return int(self._positions()[0].size)
+
+    def blocks(self) -> Iterator[BlockDescriptor]:
+        """Yield the candidates as position blocks of ``block_size`` (the
+        last may be shorter), in row-major order.
+
+        Each :class:`~repro.store.procwork.BlockDescriptor` carries its
+        stream offset and its candidates' slot positions — matrix
+        coordinates, ready for :meth:`AlignmentSession.gather
+        <repro.engine.session.AlignmentSession.gather>`; :meth:`pairs_at`
+        names them.  Positions hold only while the pair keeps the slots
+        the generator last saw, so once users are added, removed or
+        compacted away the stream raises until :meth:`refresh`.
+        """
+        if (
+            self._left_users != self.pair.left_user_slots()
+            or self._right_users != self.pair.right_user_slots()
+        ):
+            raise AlignmentError(
+                "the pair's user slots changed since the generator was "
+                "built; call refresh() first"
+            )
+        rows, cols = self._positions()
+        for offset in range(0, rows.size, self.block_size):
+            end = offset + self.block_size
+            yield BlockDescriptor(
+                offset=offset,
+                left_indices=rows[offset:end],
+                right_indices=cols[offset:end],
+            )
+
+    def pairs_at(self, rows: np.ndarray, cols: np.ndarray) -> List[LinkPair]:
+        """The ``(left_user, right_user)`` pairs at slot positions."""
+        return list(
+            zip(
+                map(self._left_users.__getitem__, rows.tolist()),
+                map(self._right_users.__getitem__, cols.tolist()),
+            )
+        )
 
     def pairs(self) -> Iterator[LinkPair]:
         """Every candidate pair, in deterministic row-major order."""
         for block in self.blocks():
-            yield from block
+            yield from self.pairs_at(block.left_indices, block.right_indices)
 
-    def blocks(self) -> Iterator[CandidateBlock]:
-        """Yield candidate pairs in blocks of ``block_size`` (the last may
-        be shorter), in row-major order."""
-        right_users = self._right_users
-        block: CandidateBlock = []
-        for left_user, columns in self._rows():
-            row = zip(
-                repeat(left_user), map(right_users.__getitem__, columns.tolist())
-            )
-            remaining = columns.size
-            while remaining:
-                take = min(remaining, self.block_size - len(block))
-                block.extend(islice(row, take))
-                remaining -= take
-                if len(block) == self.block_size:
-                    yield block
-                    block = []
-        if block:
-            yield block
+
+def _live(slots: Sequence[Optional[NodeId]]) -> np.ndarray:
+    """Boolean mask of the live (non-tombstoned) slots."""
+    return np.array([user is not None for user in slots], dtype=bool)
+
+
+def _slots_of(
+    slots: Sequence[Optional[NodeId]], users: Optional[Iterable[NodeId]]
+) -> np.ndarray:
+    """Slot positions of the live ``users`` (absent ones are dropped)."""
+    wanted = set(users) if users else set()
+    if not wanted:
+        return np.zeros(0, dtype=np.int64)
+    return np.array(
+        [slot for slot, user in enumerate(slots) if user in wanted],
+        dtype=np.int64,
+    )
 
 
 def linear_scorer(
     session, weights: np.ndarray
-) -> Callable[[Sequence[LinkPair]], np.ndarray]:
-    """Score function ``block -> X_block @ w`` over session features."""
+) -> Callable[[BlockDescriptor], np.ndarray]:
+    """Score function ``block -> X_block @ w`` over the session's
+    position gather (:meth:`AlignmentSession.gather
+    <repro.engine.session.AlignmentSession.gather>`)."""
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.shape[0] != session.n_features:
         raise AlignmentError(
             f"{weights.shape[0]} weights for {session.n_features} features"
         )
 
-    def score(block: Sequence[LinkPair]) -> np.ndarray:
-        return session.extract(block) @ weights
+    def score(block: BlockDescriptor) -> np.ndarray:
+        return session.gather(block.left_indices, block.right_indices) @ weights
 
     return score
 
 
 def _score_block_unit(
-    item: Tuple[Callable[[Sequence[LinkPair]], np.ndarray], CandidateBlock],
-) -> Tuple[CandidateBlock, np.ndarray]:
+    item: Tuple[Callable[[BlockDescriptor], np.ndarray], BlockDescriptor],
+) -> Tuple[BlockDescriptor, np.ndarray]:
     """Score one block — module-level so process pools can pickle it."""
     score_fn, block = item
     return block, np.asarray(score_fn(block), dtype=np.float64).ravel()
@@ -385,7 +421,7 @@ def _score_block_unit(
 
 def streamed_selection(
     generator: CandidateGenerator,
-    score_fn: Callable[[Sequence[LinkPair]], np.ndarray],
+    score_fn: Callable[[BlockDescriptor], np.ndarray],
     threshold: float = 0.5,
     blocked_left: Optional[Iterable[NodeId]] = None,
     blocked_right: Optional[Iterable[NodeId]] = None,
@@ -393,10 +429,18 @@ def streamed_selection(
 ) -> List[Tuple[LinkPair, float]]:
     """Greedy one-to-one selection over a streamed candidate space.
 
-    Scores each block, keeps only links above ``threshold`` (the greedy
-    selector can never pick the rest), and runs one exact global greedy
-    pass over the survivors.  Returns the selected links with their
-    scores, ordered by decreasing score.
+    ``score_fn`` maps one position block of the generator to its scores
+    (:func:`linear_scorer`, or an
+    :class:`~repro.store.procwork.ArenaLinearScorer`).  The sweep keeps
+    each block's links above ``threshold`` (the greedy selector can
+    never pick the rest) as slot positions, and runs one exact global
+    greedy walk (:func:`~repro.matching.greedy.greedy_walk`) over those
+    integer slots.  Only the picks become ``(left_user, right_user)``
+    tuples.  Returns the selected links with their scores, ordered by
+    decreasing score (ties in stream order).  A NaN score has no place
+    in that order: it raises
+    :class:`~repro.exceptions.ConstraintViolationError` naming its
+    block's offset.
 
     With ``workers`` (an integer or a shared
     :class:`~repro.engine.parallel.Executor`) blocks are scored across
@@ -415,8 +459,8 @@ def streamed_selection(
         executor.registry.counter("fallback.serial_sweep").inc()
         executor = SerialExecutor()
 
-    survivor_pairs: List[LinkPair] = []
-    survivor_scores: List[np.ndarray] = []
+    # Survivors, per block: left slots, right slots, scores.
+    survivors: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # Streaming imap, not map: blocks flow into the executor's bounded
     # in-flight window as the generator produces them.
     scored = executor.imap(
@@ -428,25 +472,29 @@ def streamed_selection(
                 f"score function returned {scores.shape[0]} scores "
                 f"for a block of {len(block)} candidates"
             )
+        if np.isnan(scores).any():
+            raise ConstraintViolationError(
+                "candidate link scores contain NaN in the block at "
+                f"offset {block.offset}"
+            )
         keep = np.flatnonzero(scores > threshold)
-        if keep.size == len(block):
-            survivor_pairs.extend(block)
-        else:
-            survivor_pairs.extend(map(block.__getitem__, keep.tolist()))
-        survivor_scores.append(scores[keep])
-    if not survivor_pairs:
+        survivors.append(
+            (block.left_indices[keep], block.right_indices[keep], scores[keep])
+        )
+    if not survivors:
         return []
-    scores = np.concatenate(survivor_scores)
-    labels = greedy_link_selection(
-        survivor_pairs,
+    left, right, scores = map(np.concatenate, zip(*survivors))
+    picks = greedy_walk(
+        left,
+        right,
         scores,
         threshold=threshold,
-        blocked_left=blocked_left,
-        blocked_right=blocked_right,
+        blocked_left=_slots_of(generator._left_users, blocked_left),
+        blocked_right=_slots_of(generator._right_users, blocked_right),
     )
-    selected = [
-        (survivor_pairs[index], float(scores[index]))
-        for index in np.flatnonzero(labels).tolist()
-    ]
-    selected.sort(key=lambda item: -item[1])
-    return selected
+    return list(
+        zip(
+            generator.pairs_at(left[picks], right[picks]),
+            scores[picks].tolist(),
+        )
+    )

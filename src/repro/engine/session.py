@@ -65,7 +65,12 @@ from repro.meta.context import (
     build_matrix_bag,
 )
 from repro.meta.diagrams import DiagramFamily, standard_diagram_family
-from repro.meta.proximity import ProximityMatrix, csr_values_at, dice_scores
+from repro.meta.proximity import (
+    ProximityMatrix,
+    csr_values_at,
+    dice_scores,
+    proximity_block,
+)
 from repro.networks.aligned import AlignedPair, DeltaApplication, NetworkDelta
 from repro.networks.schema import WORD
 from repro.obs.metrics import CounterGroup, MetricsRegistry
@@ -1078,11 +1083,9 @@ class AlignmentSession:
             return False
         self.stats.network_updates += 1
         self._store_dirty = self.arena is not None
-        # Network shape/position facts (n_right, user-position maps)
-        # live in the once-written session meta; a network mutation can
-        # invalidate them (appended users, grown count columns), so the
-        # next flush must republish meta or arena-side workers would
-        # compute entry keys against a stale n_right.
+        # The once-written session meta records n_right; a network
+        # mutation can grow it (appended users, grown count columns),
+        # so the next flush must republish meta.
         self._store_meta_written = False
         counts_shape = (
             self.pair.left.slot_count(self.pair.anchor_node_type),
@@ -1271,7 +1274,7 @@ class AlignmentSession:
         self._applied_evolution = 0
         if self.arena is not None:
             self._store_dirty = True
-            self._store_meta_written = False  # position maps shifted
+            self._store_meta_written = False  # slot count shrank
             self.arena.vacuum()
         self._release_store_pages()
         return True
@@ -1470,6 +1473,30 @@ class AlignmentSession:
         """Feature vector for one candidate link."""
         return self.extract([pair])[0]
 
+    def gather(
+        self, left_indices: np.ndarray, right_indices: np.ndarray
+    ) -> np.ndarray:
+        """Feature rows at slot positions, in one kernel call.
+
+        The full-space sweep's gather: positions come straight from a
+        :class:`~repro.engine.candidates.CandidateGenerator` block, so
+        there is no id resolution and no cached view — one
+        :func:`~repro.meta.proximity.proximity_block` call covers every
+        structure.  Byte-identical to :meth:`extract` on the pairs at
+        those positions.
+        """
+        for structure in self._structures:
+            self._ensure_counts(structure)
+        return proximity_block(
+            left_indices,
+            right_indices,
+            [
+                (structure.counts, structure.row_sums, structure.col_sums)
+                for structure in self._structures
+            ],
+            self.include_bias,
+        )
+
     def refresh_features(
         self, X: np.ndarray, pairs: Sequence[LinkPair]
     ) -> np.ndarray:
@@ -1553,8 +1580,8 @@ class AlignmentSession:
 
         Folds every pending delta, spills all count matrices plus their
         row/column sums, and (once) the session metadata worker
-        processes need to resolve block descriptors — structure order,
-        bias flag, user-position maps.  Returns the
+        processes need to serve block descriptors — structure order,
+        bias flag, right-side slot count.  Returns the
         :class:`~repro.store.procwork.ArenaSpec` stamping the manifest
         version just published; dispatchers attach it to every work
         unit so stale workers reload before serving.  A flush with no
@@ -1585,7 +1612,6 @@ class AlignmentSession:
                 )
             self.arena.put_object(SESSION_SLOTS, slots)
             if not self._store_meta_written:
-                anchor_type = self.pair.anchor_node_type
                 self.arena.put_object(
                     SESSION_META,
                     {
@@ -1593,19 +1619,9 @@ class AlignmentSession:
                             structure.name for structure in self._structures
                         ],
                         "include_bias": bool(self.include_bias),
-                        "n_right": self.pair.right.slot_count(anchor_type),
-                        "left_positions": {
-                            user: self.pair.left.node_position(
-                                anchor_type, user
-                            )
-                            for user in self.pair.left_users()
-                        },
-                        "right_positions": {
-                            user: self.pair.right.node_position(
-                                anchor_type, user
-                            )
-                            for user in self.pair.right_users()
-                        },
+                        "n_right": self.pair.right.slot_count(
+                            self.pair.anchor_node_type
+                        ),
                     },
                 )
                 self._store_meta_written = True

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.active.strategies import ScoredBlock
-from repro.engine.candidates import CandidateBlock, CandidateGenerator
+from repro.engine.candidates import CandidateGenerator
 from repro.engine.session import AlignmentSession
 from repro.exceptions import ModelError
 from repro.ml.backends import LinearModelState, apply_model_state, gather_rows
@@ -59,6 +59,9 @@ from repro.store.procwork import (
 from repro.types import LinkPair
 
 logger = logging.getLogger(__name__)
+
+#: A block of candidate pairs of a streamed task.
+CandidateBlock = List[LinkPair]
 
 #: Sentinel accepted by the ``block_size`` knobs: measure throughput and
 #: pick a size instead of using a fixed number.
@@ -82,7 +85,7 @@ def blockify(
     """Chop a candidate list into generator-style blocks.
 
     A list shorter than ``block_size`` yields exactly one block; an
-    empty list yields an empty stream — mirroring
+    empty list yields an empty stream — the partition of
     :meth:`CandidateGenerator.blocks`.
     """
     if block_size < 1:
@@ -152,9 +155,9 @@ class StreamedAlignmentTask:
         extraction time — so a refresh between query rounds is just
         ``session.set_anchors``; the next pass sees the new features.
     blocks:
-        Candidate blocks (e.g. from :func:`blockify` or
-        :meth:`CandidateGenerator.blocks`).  Block objects are kept
-        alive so the session's view cache can serve repeated passes.
+        Candidate pair blocks (e.g. from :func:`blockify`).  Block
+        objects are kept alive so the session's view cache can serve
+        repeated passes.
     labeled_indices, labeled_values:
         Known-label positions in the concatenated candidate order and
         their 0/1 values, exactly as on ``AlignmentTask``.
@@ -590,19 +593,15 @@ class StreamedAlignmentTask:
         generator: CandidateGenerator,
         labeled: Sequence[Tuple[LinkPair, int]] = (),
     ) -> "StreamedAlignmentTask":
-        """Build from a candidate generator's pruned block stream.
+        """Build from a candidate generator's pruned stream, in its
+        block partition.
 
         ``labeled`` maps known links to 0/1 labels; every labeled link
         must survive the generator's pruning (otherwise the model could
         not see its own training data).
         """
-        blocks = list(generator.blocks())
-        task_pairs = {
-            pair: index
-            for index, pair in enumerate(
-                pair for block in blocks for pair in block
-            )
-        }
+        pairs = list(generator.pairs())
+        task_pairs = {pair: index for index, pair in enumerate(pairs)}
         indices: List[int] = []
         values: List[int] = []
         for pair, label in labeled:
@@ -616,7 +615,7 @@ class StreamedAlignmentTask:
             values.append(label)
         return cls(
             session,
-            blocks,
+            blockify(pairs, generator.block_size),
             np.asarray(indices, dtype=np.int64),
             np.asarray(values, dtype=np.int64),
         )

@@ -12,7 +12,7 @@ users with many instances to *anyone*.  Scores live in ``[0, 1]`` and are
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -105,8 +105,9 @@ def dice_scores(
     """The Dice ratio ``2 v / d`` with the zero-denominator guard.
 
     Single home of the proximity formula (Definition 6); every scoring
-    path — :meth:`ProximityMatrix.scores` and the incremental session's
-    view scoring — must go through it so they stay bit-identical.
+    path — :meth:`ProximityMatrix.scores`, the incremental session's
+    view scoring and :func:`proximity_block` — must go through it so
+    they stay bit-identical.
     """
     scores = np.zeros_like(denominators, dtype=np.float64)
     np.divide(2.0 * values, denominators, out=scores, where=denominators > 0)
@@ -175,3 +176,106 @@ def csr_values_at(
     hits = window[positions] == query_keys
     values[hits] = matrix.data[start + positions[hits]]
     return values
+
+
+def proximity_block(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    structures: Sequence[Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]],
+    include_bias: bool,
+) -> np.ndarray:
+    """Feature rows at positions ``(rows[k], cols[k])``, all structures at once.
+
+    ``structures`` holds each structure's ``(counts, row_sums, col_sums)``
+    in column order; the counts are canonical CSR (no duplicate entries)
+    of one shape.  Returns a zeroed C-order ``(m, len(structures) [+ 1])``
+    float64 block with the bias column of ones last.
+
+    Rather than search every position in every count matrix, the kernel
+    collects every structure's entries in the block's row window (a
+    structure with an empty window costs two ``indptr`` reads), looks
+    them all up among the block's sorted keys in one pass, and computes
+    Dice only at the hits.  An absent position keeps ``+0.0``, exactly
+    what :func:`dice_scores` gives a zero count, so the bytes equal
+    per-structure :func:`csr_values_at` plus :func:`dice_scores` columns
+    stacked side by side — in any position order, and with repeated
+    positions (each copy gets the row of its first).  A position outside
+    the matrices' shape raises :class:`~repro.exceptions.FeatureError`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise FeatureError("position arrays must be one-dimensional and equal")
+    n_features = len(structures) + int(bool(include_bias))
+    block = np.zeros((rows.size, n_features), dtype=np.float64)
+    if include_bias:
+        block[:, -1] = 1.0
+    if rows.size == 0 or not structures:
+        return block
+    shape = structures[0][0].shape
+    first, last = int(rows.min()), int(rows.max())
+    if first < 0 or last >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]:
+        raise FeatureError(
+            f"lookup position outside the {shape[0]} x {shape[1]} matrix"
+        )
+    # The entries in rows [first, last] of each structure that has any,
+    # with that structure's sums over the same window.
+    columns, row_lengths, entry_cols, entry_values = [], [], [], []
+    window_row_sums, window_col_sums = [], []
+    for column, (counts, row_sums, col_sums) in enumerate(structures):
+        if counts.shape != shape:
+            raise FeatureError(
+                f"count matrix shape {counts.shape} differs from {shape}"
+            )
+        start, stop = int(counts.indptr[first]), int(counts.indptr[last + 1])
+        if start == stop:
+            continue
+        columns.append(column)
+        row_lengths.append(np.diff(counts.indptr[first : last + 2]))
+        entry_cols.append(counts.indices[start:stop])
+        entry_values.append(counts.data[start:stop])
+        window_row_sums.append(row_sums[first : last + 1])
+        window_col_sums.append(col_sums)
+    if not columns:
+        return block
+    n_rows, n_cols = last - first + 1, shape[1]
+    # Window entry e lies in cell part * n_rows + (row - first), where
+    # ``part`` counts the structures that have entries.
+    cell = np.repeat(
+        np.arange(len(columns) * n_rows), np.concatenate(row_lengths)
+    )
+    entry_cols = np.concatenate(entry_cols)
+    entry_keys = (
+        np.tile(np.arange(first, last + 1) * n_cols, len(columns))[cell]
+        + entry_cols
+    )
+    keys = rows * n_cols + cols
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    found = np.searchsorted(sorted_keys, entry_keys)
+    hits = np.flatnonzero(
+        sorted_keys[np.minimum(found, rows.size - 1)] == entry_keys
+    )
+    slots = order[found[hits]]
+    cell = cell[hits]
+    part = cell // n_rows
+    values = np.concatenate(entry_values)[hits].astype(np.float64, copy=False)
+    denominators = (
+        np.concatenate(window_row_sums)[cell]
+        + np.concatenate(window_col_sums)[part * n_cols + entry_cols[hits]]
+    )
+    np.put(
+        block,
+        slots * n_features + np.asarray(columns)[part],
+        dice_scores(values, denominators),
+    )
+    # The lookup filled the first copy of each key in sorted order;
+    # repeated positions copy its row.
+    repeated = sorted_keys[1:] == sorted_keys[:-1]
+    if repeated.any():
+        copies = np.flatnonzero(repeated) + 1
+        run_start = np.maximum.accumulate(
+            np.where(repeated, 0, np.arange(1, rows.size))
+        )
+        block[order[copies]] = block[order[run_start[copies - 1]]]
+    return block

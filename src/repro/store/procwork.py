@@ -7,14 +7,16 @@ defines the process-side of the store subsystem:
 
 * :class:`ArenaSpec` — where the shared state lives (``store_dir``) and
   which manifest ``version`` the driver published before dispatching;
-* :class:`BlockDescriptor` — one candidate block as index arrays, the
-  only per-task payload (a few KiB, never a matrix);
+* :class:`BlockDescriptor` — one candidate block as slot-position
+  arrays, the only per-task payload (a few KiB, never a matrix).  It is
+  also the block type :meth:`CandidateGenerator.blocks
+  <repro.engine.candidates.CandidateGenerator.blocks>` yields, so a
+  sweep block crosses the process boundary as it is;
 * module-level job functions (:func:`extract_block_job`,
   :func:`score_block_job`) that a ``ProcessPoolExecutor`` can pickle by
   reference;
 * :class:`ArenaLinearScorer` — a picklable ``block -> scores`` callable
-  for the streamed-selection sweep, where blocks arrive as user-id
-  pairs rather than prebuilt index arrays.
+  for the streamed-selection sweep.
 
 Worker processes keep one :class:`_ArenaWorkerState` per ``store_dir``
 in module globals: the arena is opened once, count matrices are served
@@ -22,12 +24,13 @@ as memory maps (the OS page cache shares one physical copy across all
 workers), and the cached state reloads itself whenever the spec's
 manifest version moves past the one it loaded.
 
-Exactness: the feature kernel below is the *same* computation the
-session performs — ``csr_values_at`` lookups, row+column sum
-denominators, :func:`~repro.meta.proximity.dice_scores`, bias column —
-over the very arrays the session flushed.  A process-pool extraction is
-therefore byte-identical to the in-process one, which the store test
-suite and ``bench_engine_store`` assert.
+Exactness: workers gather features with
+:func:`~repro.meta.proximity.proximity_block`, the very kernel behind
+:meth:`AlignmentSession.gather
+<repro.engine.session.AlignmentSession.gather>`, over the arrays the
+session flushed.  A process-pool extraction is therefore byte-identical
+to the in-process one, which the store test suite and
+``bench_engine_store`` assert.
 """
 
 from __future__ import annotations
@@ -35,16 +38,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import StoreError
-from repro.meta.proximity import csr_entry_keys, csr_values_at, dice_scores
+from repro.exceptions import AlignmentError, StoreError
+from repro.meta.proximity import proximity_block
 from repro.ml.backends import LinearModelState, apply_model_state
 from repro.obs.tracing import NULL_TRACER, JsonlSink, TraceContext, Tracer
 from repro.store.arena import MatrixArena
-from repro.types import LinkPair
 
 #: Arena entry holding the session-level metadata object.
 SESSION_META = "session/meta"
@@ -93,7 +95,12 @@ class ArenaSpec:
 
 @dataclass(frozen=True)
 class BlockDescriptor:
-    """One candidate block in index form — the picklable work unit."""
+    """One candidate block as slot positions — the picklable work unit.
+
+    ``offset`` is the block's first candidate index in its stream;
+    ``left_indices[k]``/``right_indices[k]`` are candidate ``k``'s
+    matrix row and column.
+    """
 
     offset: int
     left_indices: np.ndarray
@@ -106,12 +113,10 @@ class BlockDescriptor:
 # ----------------------------------------------------------------------
 # Worker-side state
 # ----------------------------------------------------------------------
-@dataclass
-class _StructureView:
+class _StructureView(NamedTuple):
     """One structure's arena-served state, cached per worker process."""
 
     counts: object  # mmap-backed csr
-    entry_keys: np.ndarray
     row_sums: np.ndarray
     col_sums: np.ndarray
 
@@ -145,64 +150,24 @@ class _ArenaWorkerState:
     def _structure(self, name: str) -> _StructureView:
         view = self._structures.get(name)
         if view is None:
-            counts = self.arena.get(self.slots[name])
             view = _StructureView(
-                counts=counts,
-                entry_keys=csr_entry_keys(counts),
+                counts=self.arena.get(self.slots[name]),
                 row_sums=self.arena.get_array(row_sums_slot(name)),
                 col_sums=self.arena.get_array(col_sums_slot(name)),
             )
             self._structures[name] = view
         return view
 
-    # ------------------------------------------------------------------
-    def pairs_to_indices(
-        self, block: Sequence[LinkPair]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Resolve user-id pairs against the stored position maps."""
-        left_positions = self.meta["left_positions"]
-        right_positions = self.meta["right_positions"]
-        try:
-            left = np.array(
-                [left_positions[left_user] for left_user, _ in block],
-                dtype=np.int64,
-            )
-            right = np.array(
-                [right_positions[right_user] for _, right_user in block],
-                dtype=np.int64,
-            )
-        except KeyError as missing:
-            raise StoreError(
-                f"candidate user {missing.args[0]!r} is not in the arena's "
-                "stored position maps"
-            ) from None
-        return left, right
-
     def features(
         self, left_indices: np.ndarray, right_indices: np.ndarray
     ) -> np.ndarray:
-        """Feature block — the session's extraction kernel, verbatim."""
-        n_right = int(self.meta["n_right"])
-        query_keys = left_indices * n_right + right_indices
-        columns: List[np.ndarray] = []
-        for name in self.meta["structure_names"]:
-            view = self._structure(name)
-            values = csr_values_at(
-                view.counts,
-                left_indices,
-                right_indices,
-                query_keys=query_keys,
-                entry_keys=view.entry_keys,
-            )
-            denominators = (
-                view.row_sums[left_indices] + view.col_sums[right_indices]
-            )
-            columns.append(dice_scores(values, denominators))
-        if self.meta["include_bias"]:
-            columns.append(
-                np.ones(left_indices.shape[0], dtype=np.float64)
-            )
-        return np.column_stack(columns)
+        """Feature block — the session's position-gather kernel."""
+        return proximity_block(
+            left_indices,
+            right_indices,
+            [self._structure(name) for name in self.meta["structure_names"]],
+            self.meta["include_bias"],
+        )
 
 
 _STATES: Dict[str, _ArenaWorkerState] = {}
@@ -294,16 +259,26 @@ class ArenaLinearScorer:
 
     The process analog of :func:`repro.engine.candidates.linear_scorer`:
     instead of closing over a live session it carries only the arena
-    spec and the weight vector, and resolves blocks of ``(left_user,
-    right_user)`` pairs against the arena's stored position maps inside
-    the worker.
+    spec and the weight vector, and scores a
+    :class:`BlockDescriptor` of slot positions against the arena inside
+    the worker.  The weight count is checked against the arena's
+    structure count (plus bias) when the scorer is built, in the
+    driver, not inside a worker's first block.
     """
 
     spec: ArenaSpec
     weights: np.ndarray
 
-    def __call__(self, block: Sequence[LinkPair]) -> np.ndarray:
+    def __post_init__(self) -> None:
+        meta = _state_for(self.spec).meta
+        n_features = len(meta["structure_names"]) + int(bool(meta["include_bias"]))
+        if np.size(self.weights) != n_features:
+            raise AlignmentError(
+                f"{np.size(self.weights)} weights for {n_features} features"
+            )
+
+    def __call__(self, block: BlockDescriptor) -> np.ndarray:
         with job_span(self.spec, "procwork.linear_scorer", block=len(block)):
             state = _state_for(self.spec)
-            left, right = state.pairs_to_indices(block)
-            return state.features(left, right) @ self.weights
+            X = state.features(block.left_indices, block.right_indices)
+            return X @ self.weights

@@ -9,10 +9,11 @@ from scipy import sparse
 from repro.engine import (
     AlignmentSession,
     CandidateGenerator,
+    ThreadedExecutor,
     linear_scorer,
     streamed_selection,
 )
-from repro.exceptions import AlignmentError
+from repro.exceptions import AlignmentError, ConstraintViolationError
 from repro.matching.greedy import greedy_link_selection
 from repro.networks.aligned import AlignedPair
 from repro.networks.builders import SocialNetworkBuilder
@@ -196,6 +197,26 @@ class TestStreamedSelection:
             == []
         )
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_nan_score_rejected_naming_its_block(
+        self, tiny_synthetic_pair, threads
+    ):
+        """A NaN is not above the threshold, but it must not vanish."""
+
+        def score(block):
+            scores = np.full(len(block), 0.9)
+            if block.offset == 200:
+                scores[7] = np.nan
+            return scores
+
+        generator = CandidateGenerator(tiny_synthetic_pair, block_size=100)
+        with pytest.raises(ConstraintViolationError, match="offset 200"):
+            if threads:
+                with ThreadedExecutor(threads) as executor:
+                    streamed_selection(generator, score, workers=executor)
+            else:
+                streamed_selection(generator, score)
+
     def test_linear_scorer_validates_weights(self, handmade_pair):
         session = AlignmentSession(handmade_pair)
         with pytest.raises(AlignmentError):
@@ -316,9 +337,85 @@ def test_blocks_and_count_match_the_per_pair_loop(case, block_offset):
         exclude=exclude,
     )
     blocks = list(generator.blocks())
-    assert [pair_ for block in blocks for pair_ in block] == expected
+    lefts, rights = pair.left_user_slots(), pair.right_user_slots()
+    assert [
+        (lefts[i], rights[j])
+        for block in blocks
+        for i, j in zip(block.left_indices.tolist(), block.right_indices.tolist())
+    ] == expected
+    assert list(generator.pairs()) == expected
     full, rest = divmod(len(expected), block_size)
     assert [len(block) for block in blocks] == [block_size] * full + (
         [rest] if rest else []
     )
+    assert [block.offset for block in blocks] == list(
+        range(0, len(expected), block_size)
+    )
     assert generator.count() == len(expected)
+
+
+@pytest.fixture(scope="module")
+def tiny_session(tiny_synthetic_pair):
+    return AlignmentSession(
+        tiny_synthetic_pair, known_anchors=tiny_synthetic_pair.anchors
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_streamed_selection_matches_one_materialized_greedy(tiny_session, data):
+    """The position sweep == one greedy over every pair's extracted
+    features, as ``(pair, score)`` lists.  Weights come from a few values,
+    mostly zero, so many pairs tie.  The materialized scores take
+    ``X @ w`` in the stream's blocks: a BLAS row result may depend on
+    the shape of the matrix it sits in."""
+    session = tiny_session
+    pair = session.pair
+    block_size = data.draw(st.integers(1, 2500), label="block_size")
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, -1.0]),
+                min_size=session.n_features,
+                max_size=session.n_features,
+            ),
+            label="weights",
+        )
+    )
+    threshold = data.draw(st.sampled_from([0.5, 0.25, 0.0]), label="threshold")
+    blocked_left = data.draw(st.sets(st.sampled_from(pair.left_users())))
+    blocked_right = data.draw(st.sets(st.sampled_from(pair.right_users())))
+    if data.draw(st.booleans(), label="support"):
+        generator = CandidateGenerator.from_support(session, block_size=block_size)
+    else:
+        generator = CandidateGenerator(pair, block_size=block_size)
+
+    selected = streamed_selection(
+        generator,
+        linear_scorer(session, weights),
+        threshold=threshold,
+        blocked_left=blocked_left,
+        blocked_right=blocked_right,
+    )
+
+    pairs = list(generator.pairs())
+    X = session.extract(pairs)
+    scores = np.concatenate(
+        [np.zeros(0)]
+        + [
+            X[start : start + block_size].copy() @ weights
+            for start in range(0, len(pairs), block_size)
+        ]
+    )
+    labels = greedy_link_selection(
+        pairs,
+        scores,
+        threshold=threshold,
+        blocked_left=blocked_left,
+        blocked_right=blocked_right,
+    )
+    expected = sorted(
+        ((pairs[k], float(scores[k])) for k in np.flatnonzero(labels)),
+        key=lambda item: -item[1],
+    )
+    assert selected == expected

@@ -360,6 +360,18 @@ class TestCandidateGeneratorRefresh:
         assert list(generator.pairs()) == list(fresh.pairs())
         assert generator.count() == fresh.count()
 
+    def test_stale_generator_refuses_to_stream_positions(self, fresh_pair):
+        """Slot positions go stale when the pair's slots change; the
+        stream raises instead of pointing at the wrong users."""
+        pair = fresh_pair
+        session = AlignmentSession(pair, known_anchors=sorted(pair.anchors, key=repr))
+        generator = CandidateGenerator.from_support(session, block_size=64)
+        session.apply_network_delta(_grow_delta(pair, "right"))
+        with pytest.raises(AlignmentError, match="refresh"):
+            next(generator.blocks())
+        generator.refresh(session)
+        assert generator.count() == sum(len(b) for b in generator.blocks())
+
     def test_refresh_after_anchor_change_matches(self, fresh_pair):
         pair = fresh_pair
         anchors = sorted(pair.anchors, key=repr)

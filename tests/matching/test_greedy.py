@@ -1,13 +1,21 @@
 """Tests for repro.matching.greedy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConstraintViolationError
+from repro.matching import greedy
 from repro.matching.constraints import satisfies_one_to_one
-from repro.matching.greedy import greedy_link_selection, selection_objective
+from repro.matching.greedy import (
+    greedy_link_selection,
+    greedy_walk,
+    selection_objective,
+    stable_descending,
+)
 from repro.matching.hungarian import exact_link_selection
 
 
@@ -197,4 +205,53 @@ def test_greedy_matches_the_plain_loop(problem):
     assert labels.dtype == np.int64
     assert labels.tolist() == _reference_greedy(
         pairs, scores, threshold, blocked_left, blocked_right
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_greedy_problem(), chunk=st.integers(1, 5))
+def test_walk_over_codes_matches_the_plain_loop_in_small_chunks(problem, chunk):
+    """The integer walk, with chunks small enough that the numpy
+    prefilter of later chunks sees endpoints taken by earlier ones."""
+    pairs, scores, threshold, blocked_left, blocked_right = problem
+    left_ids = sorted({left for left, _ in pairs} | set(blocked_left))
+    right_ids = sorted({right for _, right in pairs} | set(blocked_right))
+    left = [left_ids.index(left_user) for left_user, _ in pairs]
+    right = [right_ids.index(right_user) for _, right_user in pairs]
+    with mock.patch.object(greedy, "_WALK_CHUNK", chunk):
+        picks = greedy_walk(
+            left,
+            right,
+            scores,
+            threshold=threshold,
+            blocked_left=[left_ids.index(user) for user in blocked_left],
+            blocked_right=[right_ids.index(user) for user in blocked_right],
+        )
+    expected = _reference_greedy(
+        pairs, scores, threshold, blocked_left, blocked_right
+    )
+    assert sorted(picks.tolist()) == [k for k, label in enumerate(expected) if label]
+    # Acceptance order is the stable descending order of the picks.
+    assert picks.tolist() == sorted(picks.tolist(), key=lambda k: -scores[k])
+
+
+def test_walk_rejects_nan():
+    with pytest.raises(ConstraintViolationError, match="NaN"):
+        greedy_walk([0, 1], [0, 1], [0.9, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([-np.inf, -0.0, 0.0, 0.5, 1.0, np.inf]),
+            st.floats(-2.0, 2.0, allow_nan=False),
+        ),
+        max_size=60,
+    )
+)
+def test_stable_descending_is_the_stable_argsort(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(
+        stable_descending(values), np.argsort(-values, kind="stable")
     )

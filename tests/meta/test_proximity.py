@@ -13,6 +13,7 @@ from repro.meta.proximity import (
     csr_values_at,
     dice_proximity,
     dice_scores,
+    proximity_block,
 )
 
 
@@ -217,3 +218,86 @@ def test_csr_entry_keys_window_is_a_slice_of_the_full_keys(case, start, stop):
         window, full[matrix.indptr[start] : matrix.indptr[stop]]
     )
     assert np.all(np.diff(full) > 0)
+
+
+@st.composite
+def _block_case(draw):
+    """Count matrices of one shape and a position block.
+
+    Stored values include explicit and negative zeros, rows may be
+    shuffled within, and a dead (tombstoned) row and column may hold no
+    entry at all.  Positions come in any order, may repeat, span rows,
+    and may fall outside the shape."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dead_row = draw(st.one_of(st.none(), st.integers(0, n_rows - 1)))
+    dead_col = draw(st.one_of(st.none(), st.integers(0, n_cols - 1)))
+    structures = []
+    for _ in range(draw(st.integers(0, 4))):
+        data, indices, indptr = [], [], [0]
+        dense = np.zeros((n_rows, n_cols))
+        for i in range(n_rows):
+            columns = draw(st.lists(st.integers(0, n_cols - 1), unique=True))
+            columns = [j for j in columns if i != dead_row and j != dead_col]
+            if not draw(st.booleans()):
+                columns.sort()
+            for j in columns:
+                dense[i, j] = draw(st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0]))
+                data.append(dense[i, j])
+            indices.extend(columns)
+            indptr.append(len(indices))
+        counts = sparse.csr_matrix(
+            (np.asarray(data), np.asarray(indices, dtype=np.int32), indptr),
+            shape=(n_rows, n_cols),
+        )
+        structures.append((counts, dense.sum(axis=1), dense.sum(axis=0)))
+    outside = draw(st.booleans())
+    pad = 1 if outside else 0
+    size = draw(st.integers(0, 14))
+    rows, cols = (
+        np.asarray(
+            draw(
+                st.lists(
+                    st.integers(-pad, n - 1 + pad), min_size=size, max_size=size
+                )
+            ),
+            dtype=np.int64,
+        )
+        for n in (n_rows, n_cols)
+    )
+    return structures, rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_block_case(), include_bias=st.booleans())
+def test_proximity_block_matches_per_structure_lookups(case, include_bias):
+    """One gather == per-structure ``csr_values_at`` + ``dice_scores``
+    columns stacked side by side, byte for byte."""
+    structures, rows, cols = case
+    columns = []
+    try:
+        for counts, row_sums, col_sums in structures:
+            # A copy: csr_values_at sorts a matrix's indices in place.
+            values = csr_values_at(counts.copy(), rows, cols)
+            columns.append(dice_scores(values, row_sums[rows] + col_sums[cols]))
+    except FeatureError:
+        with pytest.raises(FeatureError, match="outside"):
+            proximity_block(rows, cols, structures, include_bias)
+        return
+    if include_bias:
+        columns.append(np.ones(rows.size))
+    expected = (
+        np.column_stack(columns) if columns else np.zeros((rows.size, 0))
+    )
+    block = proximity_block(rows, cols, structures, include_bias)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    assert block.shape == expected.shape
+    assert block.tobytes() == expected.tobytes()
+
+
+def test_proximity_block_rejects_mixed_shapes():
+    structures = [
+        (sparse.csr_matrix(np.eye(3)), np.ones(3), np.ones(3)),
+        (sparse.csr_matrix(np.eye(3)[:, :2]), np.ones(3), np.ones(2)),
+    ]
+    with pytest.raises(FeatureError, match="differs"):
+        proximity_block(np.array([0]), np.array([1]), structures, True)

@@ -19,7 +19,7 @@ from repro.engine import (
     StreamedAlignmentTask,
 )
 from repro.eval.protocol import ProtocolConfig, build_splits
-from repro.exceptions import StoreError
+from repro.exceptions import AlignmentError, StoreError
 from repro.store import (
     ArenaLinearScorer,
     ArenaSpec,
@@ -75,7 +75,62 @@ class TestWorkerKernel:
             assert np.array_equal(X @ weights, scores)
 
             scorer = ArenaLinearScorer(spec=spec, weights=weights)
-            assert np.array_equal(X @ weights, scorer(candidates))
+            assert np.array_equal(X @ weights, scorer(descriptor))
+
+    def test_arena_scorer_checks_its_weights_when_built(
+        self, split_setup, tmp_path
+    ):
+        """Like linear_scorer: a wrong weight count fails in the driver,
+        not as a matmul error inside a worker's first block."""
+        pair, split, _ = split_setup
+        with AlignmentSession(
+            pair, known_anchors=split.train_positive_pairs, store=tmp_path
+        ) as session:
+            spec = session.flush_store()
+            n_features = session.n_features
+            with pytest.raises(
+                AlignmentError,
+                match=f"{n_features + 3} weights for {n_features} features",
+            ):
+                ArenaLinearScorer(spec=spec, weights=np.ones(n_features + 3))
+
+    def test_meta_with_position_maps_still_loads(self, split_setup, tmp_path):
+        """Arenas flushed before position blocks also stored user-position
+        maps in the session meta; workers ignore the extra keys."""
+        from repro.store.procwork import SESSION_META
+
+        pair, split, _ = split_setup
+        candidates = list(split.candidates)
+        with AlignmentSession(
+            pair, known_anchors=split.train_positive_pairs, store=tmp_path
+        ) as session:
+            X = session.extract(candidates)
+            session.flush_store()
+            meta = dict(session.arena.get_object(SESSION_META))
+            assert "left_positions" not in meta
+            anchor_type = pair.anchor_node_type
+            meta["left_positions"] = {
+                user: pair.left.node_position(anchor_type, user)
+                for user in pair.left_users()
+            }
+            meta["right_positions"] = {
+                user: pair.right.node_position(anchor_type, user)
+                for user in pair.right_users()
+            }
+            session.arena.put_object(SESSION_META, meta)
+            spec = ArenaSpec(
+                store_dir=str(session.arena.store_dir),
+                version=session.arena.version,
+            )
+            left, right = pair.pairs_to_indices(candidates)
+            descriptor = BlockDescriptor(
+                offset=0, left_indices=left, right_indices=right
+            )
+            _, X_worker = extract_block_job((spec, descriptor))
+            assert np.array_equal(X, X_worker)
+            weights = np.random.default_rng(4).normal(size=session.n_features)
+            scorer = ArenaLinearScorer(spec=spec, weights=weights)
+            assert np.array_equal(X @ weights, scorer(descriptor))
 
     def test_stale_version_demands_a_flush(self, split_setup, tmp_path):
         pair, split, _ = split_setup

@@ -182,6 +182,32 @@ class TestCommands:
         assert "selection identical: True" in out
         assert (tmp_path / "manifest.json").exists()
 
+    def test_engine_raises_when_a_race_is_not_identical(
+        self, monkeypatch, tmp_path
+    ):
+        import dataclasses
+
+        from repro.eval import timing
+        from repro.exceptions import ExperimentError
+
+        race = timing.compare_store_paths
+
+        def diverging(*args, **kwargs):
+            return dataclasses.replace(
+                race(*args, **kwargs), identical_selection=False
+            )
+
+        monkeypatch.setattr(timing, "compare_store_paths", diverging)
+        with pytest.raises(ExperimentError) as error:
+            main(
+                [
+                    "--scale", "tiny", "engine", "--budget", "4",
+                    "--np-ratio", "5", "--store-dir", str(tmp_path),
+                ]
+            )
+        assert "store vs in-memory" in str(error.value)
+        assert "selection identical: False" in str(error.value)
+
     def test_engine_checkpoint_resume_workflow(self, capsys, tmp_path):
         common = [
             "--scale",
