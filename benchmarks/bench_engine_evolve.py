@@ -38,18 +38,17 @@ checkpoints, then asserts that ``compact()`` + pruned history shrinks
 the combined checkpoint+arena disk footprint below its pre-compaction
 size.
 
-Smoke mode (CI): ``ENGINE_EVOLVE_SCALE=small ENGINE_EVOLVE_EXACT_ONLY=1``.
+Smoke mode (CI): ``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1``.
 """
 
 import hashlib
-import os
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from conftest import publish
+from conftest import EXACT_ONLY, engine_scale, publish
 from repro.active.oracle import LabelOracle
 from repro.core.activeiter import ActiveIter
 from repro.core.base import AlignmentTask
@@ -61,8 +60,7 @@ from repro.eval.protocol import ProtocolConfig, build_splits
 from repro.exceptions import CheckpointInterrupt
 from repro.store import SessionCheckpoint
 
-SCALE = os.environ.get("ENGINE_EVOLVE_SCALE", "large")
-EXACT_ONLY = os.environ.get("ENGINE_EVOLVE_EXACT_ONLY", "") == "1"
+SCALE = engine_scale("large")
 NP_RATIO = 20
 EVENTS = 8
 SCHEDULE_SEED = 5

@@ -21,23 +21,21 @@ Gates the model-backend refactor's three guarantees:
   checkpoint).
 
 Smoke mode (CI exactness gating):
-``ENGINE_MODEL_SCALE=small ENGINE_MODEL_EXACT_ONLY=1`` runs quickly and
+``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1`` runs quickly and
 skips the RSS ratio assertion (absolute memory is meaningless on shared
 runners).
 """
 
 import multiprocessing
-import os
 import tempfile
 
 import numpy as np
-from conftest import publish
+from conftest import EXACT_ONLY, engine_scale, publish
 
 from repro.datasets import foursquare_twitter_like
 from repro.store import SessionCheckpoint
 
-SCALE = os.environ.get("ENGINE_MODEL_SCALE", "large")
-EXACT_ONLY = os.environ.get("ENGINE_MODEL_EXACT_ONLY", "") == "1"
+SCALE = engine_scale("large")
 PARITY_SCALE = "small" if SCALE == "large" else SCALE
 NP_RATIO = 20
 BUDGET = 20

@@ -1,10 +1,10 @@
 """Engine benchmark: tracing overhead and output-exactness gate.
 
-Runs the parallel-engine anchor-round workload twice under identical
-configuration — once with the default :data:`repro.obs.NULL_TRACER`
-and once with an enabled :class:`~repro.obs.Tracer` streaming every
-span to a JSONL sink — and gates the observability layer on two
-claims:
+Runs the anchor-round workload (:func:`repro.eval.timing.run_anchor_rounds`)
+twice under identical configuration — once with the default
+:data:`repro.obs.NULL_TRACER` and once with an enabled
+:class:`~repro.obs.Tracer` streaming every span to a JSONL sink — and
+gates the observability layer on two claims:
 
 * **bit-exactness** — always: tracing only observes; the feature
   matrix and the streamed selection of the traced run must be
@@ -14,31 +14,20 @@ claims:
   included) must cost < 5% wall clock (best-of-``REPS`` on each side).
 
 Smoke mode (for CI gating on shared runners):
-``ENGINE_OBS_SCALE=small ENGINE_OBS_EXACT_ONLY=1`` runs a quick
+``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1`` runs a quick
 small-scale pass and skips the timing assertion.  The traced run's
 span file is left at ``benchmarks/results/engine_obs_trace.jsonl`` —
 CI uploads it, and ``python -m repro.cli trace summarize`` reads it.
 """
 
-import os
-import time
-
-import numpy as np
-from conftest import RESULTS_DIR, publish
+from conftest import EXACT_ONLY, RESULTS_DIR, engine_scale, publish
 
 from repro.datasets import foursquare_twitter_like
-from repro.engine.candidates import (
-    CandidateGenerator,
-    linear_scorer,
-    streamed_selection,
-)
-from repro.engine.session import AlignmentSession
-from repro.eval.timing import _anchor_round_workload
+from repro.eval.timing import Race, anchor_rounds, run_anchor_rounds
 from repro.obs import configure_tracing, set_tracer
 from repro.obs.report import load_spans
 
-SCALE = os.environ.get("ENGINE_OBS_SCALE", "medium")
-EXACT_ONLY = os.environ.get("ENGINE_OBS_EXACT_ONLY", "") == "1"
+SCALE = engine_scale("medium")
 WORKERS = 4
 NP_RATIO = 20
 ROUNDS = 8
@@ -48,107 +37,72 @@ SEED = 13
 TRACE_PATH = RESULTS_DIR / "engine_obs_trace.jsonl"
 
 
-def _run_workload(pair, split, known, arrivals, weights):
-    """One parallel engine pass; returns (X, selection, seconds)."""
-    with AlignmentSession(
-        pair, known_anchors=known, workers=WORKERS
-    ) as session:
-        candidates = list(split.candidates)
-        started = time.perf_counter()
-        X = session.extract(candidates)
-        current = list(known)
-        for arrival in arrivals:
-            current += arrival
-            session.set_anchors(current)
-            session.refresh_features(X, candidates)
-        generator = CandidateGenerator.from_support(session, block_size=1024)
-        selected = streamed_selection(
-            generator,
-            linear_scorer(session, weights),
-            threshold=0.5,
-            workers=session.executor,
-        )
-        elapsed = time.perf_counter() - started
-        return X, selected, elapsed
-
-
 def test_engine_obs_exactness_and_overhead():
     pair = foursquare_twitter_like(SCALE, seed=7)
-    split, known, arrivals, weights = _anchor_round_workload(
-        pair, NP_RATIO, 1.0, ROUNDS, BATCH, SEED
+    rounds = anchor_rounds(
+        pair, NP_RATIO, rounds=ROUNDS, batch_size=BATCH, seed=SEED
     )
 
     RESULTS_DIR.mkdir(exist_ok=True)
     TRACE_PATH.unlink(missing_ok=True)
-    plain_times, traced_times = [], []
-    X_plain = X_traced = sel_plain = sel_traced = None
+    plain, traced = [], []
     # Interleave off/on reps so drift on a shared host hits both sides.
     for _ in range(REPS):
         set_tracer(None)
-        X_plain, sel_plain, seconds = _run_workload(
-            pair, split, known, arrivals, weights
-        )
-        plain_times.append(seconds)
+        plain.append(run_anchor_rounds(rounds, workers=WORKERS))
         tracer = configure_tracing(TRACE_PATH)
         try:
             with tracer.span("bench.engine_obs"):
-                X_traced, sel_traced, seconds = _run_workload(
-                    pair, split, known, arrivals, weights
-                )
-            traced_times.append(seconds)
+                traced.append(run_anchor_rounds(rounds, workers=WORKERS))
         finally:
             set_tracer(None)
 
-    identical_features = bool(np.array_equal(X_plain, X_traced))
-    identical_selection = sel_plain == sel_traced
-    overhead = min(traced_times) / min(plain_times)
+    def fastest(runs):
+        return min(runs, key=lambda run: run.seconds)
+
+    race = Race.between(
+        (
+            f"Tracing overhead ({SCALE}, workers={WORKERS}, "
+            f"{len(rounds.arrivals)} anchor rounds, reps={REPS})"
+        ),
+        ("untraced", "traced"),
+        fastest(plain),
+        fastest(traced),
+    )
+    untraced_s, traced_s = race.seconds
+    overhead = traced_s / untraced_s
     spans = load_spans(TRACE_PATH)
 
     publish(
         "engine_obs",
         "\n".join(
             [
-                (
-                    f"Tracing overhead ({SCALE}, workers={WORKERS}, "
-                    f"{len(arrivals)} anchor rounds, reps={REPS})"
-                ),
-                (
-                    f"untraced {min(plain_times):8.3f}s   "
-                    f"traced {min(traced_times):8.3f}s   "
-                    f"overhead {overhead:6.3f}x"
-                ),
-                (
-                    f"spans recorded: {len(spans)} "
-                    f"-> {TRACE_PATH.name}"
-                ),
-                f"features identical: {identical_features}; "
-                f"selection identical: {identical_selection}",
+                race.render(),
+                f"  overhead {overhead:6.3f}x",
+                f"  spans recorded: {len(spans)} -> {TRACE_PATH.name}",
             ]
         ),
         record={
             "flags": {
-                "identical_features": identical_features,
-                "identical_selection": identical_selection,
+                "identical_features": race.outputs["features"],
+                "identical_selection": race.outputs["selection"],
             },
             "metrics": {
-                "untraced_seconds": min(plain_times),
-                "traced_seconds": min(traced_times),
+                "untraced_seconds": untraced_s,
+                "traced_seconds": traced_s,
                 "overhead_ratio": overhead,
                 "spans_recorded": len(spans),
             },
         },
     )
 
-    assert identical_features, (
-        "the traced run's feature matrix must be byte-identical"
-    )
-    assert identical_selection, (
-        "the traced run's streamed selection must be identical"
+    assert race.identical, (
+        f"the traced run's outputs must be byte-identical:\n{race.render()}"
     )
     assert spans, "the enabled tracer must have recorded spans"
     if EXACT_ONLY:
         return
     assert overhead < 1.05, (
         f"enabled tracing must cost < 5% wall clock, got {overhead:.3f}x "
-        f"(untraced {min(plain_times):.3f}s vs traced {min(traced_times):.3f}s)"
+        f"(untraced {untraced_s:.3f}s vs traced {traced_s:.3f}s)"
     )

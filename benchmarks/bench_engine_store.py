@@ -27,7 +27,7 @@ Assertions:
   exactly.
 
 Smoke mode (CI exactness gating):
-``ENGINE_STORE_SCALE=small ENGINE_STORE_EXACT_ONLY=1`` runs quickly and
+``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1`` runs quickly and
 skips the RSS assertion (shared runners make absolute memory noisy).
 """
 
@@ -37,13 +37,12 @@ import os
 import tempfile
 
 import numpy as np
-from conftest import publish
+from conftest import EXACT_ONLY, engine_scale, publish
 
 from repro.datasets import foursquare_twitter_like
 from repro.store import SessionCheckpoint
 
-SCALE = os.environ.get("ENGINE_STORE_SCALE", "large")
-EXACT_ONLY = os.environ.get("ENGINE_STORE_EXACT_ONLY", "") == "1"
+SCALE = engine_scale("large")
 NP_RATIO = 20
 BUDGET = 20
 BATCH = 5
@@ -78,7 +77,6 @@ def _scenario(mode: str, store_dir: str, connection) -> None:
         linear_scorer,
         streamed_selection,
     )
-    from repro.store import ArenaLinearScorer
     from repro.store.memory import peak_rss_bytes
 
     pair = foursquare_twitter_like(SCALE, seed=7)
@@ -111,16 +109,10 @@ def _scenario(mode: str, store_dir: str, connection) -> None:
                 session, block_size=BLOCK
             )
             weights = np.asarray(model.weights_, dtype=np.float64)
-            if mode == "store-process":
-                score_fn = ArenaLinearScorer(
-                    spec=session.flush_store(), weights=weights
-                )
-            else:
-                score_fn = linear_scorer(session, weights)
             known = session.known_anchors
             selected = streamed_selection(
                 generator,
-                score_fn,
+                linear_scorer(session, weights),
                 threshold=0.5,
                 blocked_left={left for left, _ in known},
                 blocked_right={right for _, right in known},

@@ -23,23 +23,21 @@ Gates the shrinking/streaming solver's three guarantees:
   carries the backend's mode and shrink state).
 
 Smoke mode (CI exactness gating):
-``ENGINE_SVM_SCALE=small ENGINE_SVM_EXACT_ONLY=1`` runs the identity
+``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1`` runs the identity
 and resume gates quickly and skips the wall-clock speedup assertion
 (absolute timing is meaningless on shared runners).
 """
 
-import os
 import tempfile
 import time
 
 import numpy as np
-from conftest import publish
+from conftest import EXACT_ONLY, engine_scale, publish
 
 from repro.datasets import foursquare_twitter_like
 from repro.store import SessionCheckpoint
 
-SCALE = os.environ.get("ENGINE_SVM_SCALE", "large")
-EXACT_ONLY = os.environ.get("ENGINE_SVM_EXACT_ONLY", "") == "1"
+SCALE = engine_scale("large")
 PARITY_SCALE = "small" if SCALE == "large" else SCALE
 SEED = 3
 SPEEDUP_BOUND = 3.0

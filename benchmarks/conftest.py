@@ -8,6 +8,12 @@ variables:
 * ``REPRO_BENCH_FULL=1`` — run the paper's full parameter grids instead
   of the abbreviated default grids (slower by an order of magnitude).
 
+The engine benchmarks (``bench_engine_*.py``) each default to their
+own scale and assert their timing and memory gates.  Smoke mode, for
+exactness gating on shared runners, overrides every one of them with
+one pair: ``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1`` sets
+the scale and skips the timing and memory assertions.
+
 Every benchmark prints its paper-style table and also writes it to
 ``benchmarks/results/<name>.txt`` so the artifacts survive pytest's
 output capture.
@@ -37,6 +43,15 @@ BUDGETS = [10, 25, 50, 75, 100] if FULL else [10, 25, 50]
 N_REPEATS = 10 if FULL else 3
 TABLE_BUDGETS = (50, 25)
 SEED = 13
+
+#: Engine-bench smoke knobs (see the module docstring).
+ENGINE_SCALE = os.environ.get("ENGINE_BENCH_SCALE", "")
+EXACT_ONLY = os.environ.get("ENGINE_BENCH_EXACT_ONLY", "") == "1"
+
+
+def engine_scale(default: str) -> str:
+    """An engine bench's scale: ``ENGINE_BENCH_SCALE``, else ``default``."""
+    return ENGINE_SCALE or default
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.active.strategies import _check_batch_size
 from repro.exceptions import ReproError
 from repro.ml.ridge import RidgeSolver
 from repro.types import LinkPair
@@ -67,6 +68,7 @@ class CommitteeQueryStrategy:
         batch_size: int,
     ) -> List[int]:
         """Pick the queryable links with the highest committee variance."""
+        _check_batch_size(batch_size)
         labels = np.asarray(labels, dtype=np.float64).ravel()
         queryable = np.asarray(queryable, dtype=bool).ravel()
         if labels.shape[0] != len(pairs) or queryable.shape[0] != len(pairs):

@@ -77,7 +77,8 @@ class QueryStrategy(Protocol):
             Boolean mask of links whose labels may still be queried
             (unlabeled and not yet queried).
         batch_size:
-            Maximum number of picks this round.
+            Maximum number of picks this round (``>= 0``; a negative
+            batch raises :class:`~repro.exceptions.ReproError`).
         """
         ...
 
@@ -120,6 +121,12 @@ def _validate_inputs(
             f"scores contain {bad} non-finite values (NaN/inf); "
             "refusing to rank corrupted scores"
         )
+
+
+def _check_batch_size(batch_size: int) -> None:
+    """Reject a negative batch: slicing by one would drop the last picks."""
+    if batch_size < 0:
+        raise ReproError(f"batch_size must be >= 0, got {batch_size}")
 
 
 def _user_codes(users: Sequence[NodeId]) -> Tuple[np.ndarray, int]:
@@ -223,6 +230,7 @@ class ConflictFalseNegativeStrategy:
         queryable: np.ndarray,
         batch_size: int,
     ) -> List[int]:
+        _check_batch_size(batch_size)
         _validate_inputs(pairs, scores, labels, queryable)
         return _conflict_picks(
             pairs,
@@ -246,6 +254,7 @@ class ConflictFalseNegativeStrategy:
         ranks the concatenation with the same kernel as :meth:`select`.
         Ties break by global index ``block.offset + position``.
         """
+        _check_batch_size(batch_size)
         pairs: List[LinkPair] = []
         scores: List[np.ndarray] = []
         labels: List[np.ndarray] = []
@@ -303,6 +312,7 @@ class RandomQueryStrategy:
         queryable: np.ndarray,
         batch_size: int,
     ) -> List[int]:
+        _check_batch_size(batch_size)
         _validate_inputs(pairs, scores, labels, queryable)
         pool = np.flatnonzero(np.asarray(queryable, dtype=bool).ravel())
         if pool.size == 0:
@@ -314,6 +324,7 @@ class RandomQueryStrategy:
         self, blocks: Iterable[ScoredBlock], batch_size: int
     ) -> List[int]:
         """Blockwise :meth:`select` — same RNG draws, identical picks."""
+        _check_batch_size(batch_size)
         pools: List[np.ndarray] = []
         for block in blocks:
             _validate_inputs(
@@ -349,6 +360,7 @@ class MarginQueryStrategy:
         queryable: np.ndarray,
         batch_size: int,
     ) -> List[int]:
+        _check_batch_size(batch_size)
         _validate_inputs(pairs, scores, labels, queryable)
         scores = np.asarray(scores, dtype=np.float64).ravel()
         pool = np.flatnonzero(np.asarray(queryable, dtype=bool).ravel())
@@ -367,7 +379,8 @@ class MarginQueryStrategy:
         into a running best-``k`` list reproduces the global ranking —
         ties broken by global index, exactly like :meth:`select`.
         """
-        if batch_size < 1:
+        _check_batch_size(batch_size)
+        if batch_size == 0:
             return []
         best: List[Tuple[float, int]] = []
         for block in blocks:

@@ -65,6 +65,7 @@ read it back with ``trace summarize`` / ``trace tree``) and
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Dict, List, Sequence
 
@@ -566,14 +567,12 @@ def cmd_engine(args: argparse.Namespace) -> str:
     """
     from repro.engine import AlignmentSession, CandidateGenerator, make_executor
     from repro.eval.timing import (
-        compare_incremental_paths,
-        compare_parallel_paths,
-        compare_store_paths,
-        compare_streamed_fit,
-        format_incremental_comparison,
-        format_parallel_comparison,
-        format_store_comparison,
-        format_streamed_fit,
+        FIT_BLOCK,
+        Race,
+        active_fit,
+        anchor_rounds,
+        first_split,
+        run_anchor_rounds,
     )
     from repro.obs.report import format_metrics_snapshot
 
@@ -583,15 +582,19 @@ def cmd_engine(args: argparse.Namespace) -> str:
         return _cmd_engine_resume(args)
 
     pair = foursquare_twitter_like(scale=args.scale, seed=args.seed)
-    comparison = compare_incremental_paths(
-        pair,
-        np_ratio=args.np_ratio,
-        budget=args.budget,
-        batch_size=args.batch,
-        seed=args.seed,
+    split = first_split(pair, args.np_ratio, args.seed)
+    fit = functools.partial(
+        active_fit, pair, split, args.budget, args.batch, seed=args.seed
     )
-    # (race, identical?) for every comparison the report prints.
-    verdicts = [("incremental vs full recompute", comparison.identical_labels)]
+    races = [
+        Race.between(
+            "Incremental session vs full recompute "
+            "(ActiveIter with feature refresh)",
+            ("full", "incremental"),
+            fit(refresh=True, incremental=False),
+            fit(refresh=True),
+        )
+    ]
     # The context managers guarantee the pool (and arena handles) are
     # released even when a diagnostic below raises.
     with make_executor(args.executor, args.workers) as executor:
@@ -605,7 +608,7 @@ def cmd_engine(args: argparse.Namespace) -> str:
             pruned = generator.count()
             full_space = pair.candidate_space_size()
             lines = [
-                format_incremental_comparison(comparison),
+                races[0].render(),
                 "",
                 "Candidate streaming (support pruning, all anchors known):",
                 (
@@ -623,45 +626,55 @@ def cmd_engine(args: argparse.Namespace) -> str:
                 format_metrics_snapshot(session.metrics_snapshot()),
             ]
     if args.workers > 1 and args.executor == "thread":
-        parallel = compare_parallel_paths(
-            pair,
-            workers=args.workers,
-            np_ratio=args.np_ratio,
-            seed=args.seed,
+        rounds = anchor_rounds(pair, args.np_ratio, seed=args.seed)
+        races.append(
+            Race.between(
+                f"Parallel execution layer vs serial (workers={args.workers}, "
+                f"{len(rounds.arrivals)} anchor rounds)",
+                ("serial", "threaded"),
+                run_anchor_rounds(rounds),
+                run_anchor_rounds(rounds, workers=args.workers),
+            )
         )
-        lines.extend(["", format_parallel_comparison(parallel)])
-        verdicts.append(("threaded vs serial", parallel.identical))
     if args.store_dir is not None:
-        store = compare_store_paths(
-            pair,
-            args.store_dir,
-            executor=args.executor,
-            workers=args.workers,
-            np_ratio=args.np_ratio,
-            seed=args.seed,
+        rounds = anchor_rounds(pair, args.np_ratio, rounds=4, seed=args.seed)
+        memory = run_anchor_rounds(rounds)
+        with make_executor(args.executor, args.workers) as executor:
+            store = run_anchor_rounds(
+                rounds, workers=executor, store=args.store_dir
+            )
+        races.append(
+            Race.between(
+                "Disk-backed matrix store vs in-memory baseline "
+                f"(executor={args.executor}, workers={args.workers}, "
+                f"{len(rounds.arrivals)} anchor rounds)",
+                ("in-memory", "store"),
+                memory,
+                store,
+            )
         )
-        lines.extend(["", format_store_comparison(store)])
-        verdicts.append(("store vs in-memory", store.identical))
     if args.streamed or args.model != "ridge" or args.feature_map is not None:
-        streamed = compare_streamed_fit(
-            pair,
-            np_ratio=args.np_ratio,
-            budget=args.budget,
-            batch_size=args.batch,
-            seed=args.seed,
+        backend = dict(
             model=args.model,
             feature_map=args.feature_map,
             unlabeled_C=args.unlabeled_c,
         )
-        lines.extend(["", format_streamed_fit(streamed)])
-        verdicts.append(
-            (
-                "streamed vs materialized fit",
-                streamed.identical_queries and streamed.identical_labels,
+        n_blocks = -(-len(split.candidates) // FIT_BLOCK)
+        races.append(
+            Race.between(
+                "Streamed active fit vs materialized task "
+                f"(|H|={len(split.candidates)}, {n_blocks} blocks)",
+                ("materialized", "streamed"),
+                fit(**backend),
+                fit(streamed=True, **backend),
             )
         )
+    for race in races[1:]:
+        lines.extend(["", race.render()])
     report = "\n".join(lines)
-    differing = [race for race, identical in verdicts if not identical]
+    differing = [
+        " vs ".join(reversed(race.paths)) for race in races if not race.identical
+    ]
     if differing:
         raise ExperimentError(
             f"engine outputs differ ({', '.join(differing)}):\n{report}"

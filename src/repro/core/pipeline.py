@@ -50,7 +50,6 @@ from repro.meta.diagrams import DiagramFamily
 from repro.meta.features import FeatureExtractor
 from repro.networks.aligned import AlignedPair
 from repro.store.arena import MatrixArena
-from repro.store.procwork import ArenaLinearScorer
 from repro.types import Labeled, LinkPair
 
 
@@ -372,24 +371,9 @@ class AlignmentPipeline:
                     min_structures=min_structures,
                 )
         known = self.session_.known_anchors
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if (
-            self.session_.executor.crosses_processes
-            and self.session_.arena is not None
-        ):
-            # Cross-process fan-out: ship a picklable arena-backed
-            # scorer; workers resolve blocks against the shared
-            # memory-mapped store (or their synced replica).  Scores
-            # (and the selection) are byte-identical to the in-process
-            # sweep.
-            score_fn = ArenaLinearScorer(
-                spec=self.session_.flush_store(), weights=weights
-            )
-        else:
-            score_fn = linear_scorer(self.session_, weights)
         selected = streamed_selection(
             generator,
-            score_fn,
+            linear_scorer(self.session_, weights),
             threshold=threshold,
             blocked_left={left for left, _ in known},
             blocked_right={right for _, right in known},

@@ -48,7 +48,7 @@ from repro.exceptions import AlignmentError, ConstraintViolationError
 from repro.matching.greedy import greedy_walk
 from repro.networks.aligned import AlignedPair
 from repro.networks.schema import FOLLOW
-from repro.store.procwork import BlockDescriptor
+from repro.store.procwork import ArenaLinearScorer, BlockDescriptor
 from repro.types import LinkPair, NodeId
 
 
@@ -396,14 +396,23 @@ def _slots_of(
 def linear_scorer(
     session, weights: np.ndarray
 ) -> Callable[[BlockDescriptor], np.ndarray]:
-    """Score function ``block -> X_block @ w`` over the session's
-    position gather (:meth:`AlignmentSession.gather
-    <repro.engine.session.AlignmentSession.gather>`)."""
+    """Score function ``block -> X_block @ w`` over the session's features.
+
+    When the session's executor crosses processes and the session has
+    an arena, this is a picklable :class:`ArenaLinearScorer` over the
+    flushed store, so pool workers score blocks against the shared
+    arena.  Otherwise it is a closure over the session's position
+    gather (:meth:`AlignmentSession.gather
+    <repro.engine.session.AlignmentSession.gather>`).  The two score
+    byte-identically.
+    """
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.shape[0] != session.n_features:
         raise AlignmentError(
             f"{weights.shape[0]} weights for {session.n_features} features"
         )
+    if session.executor.crosses_processes and session.arena is not None:
+        return ArenaLinearScorer(spec=session.flush_store(), weights=weights)
 
     def score(block: BlockDescriptor) -> np.ndarray:
         return session.gather(block.left_indices, block.right_indices) @ weights
@@ -430,8 +439,7 @@ def streamed_selection(
     """Greedy one-to-one selection over a streamed candidate space.
 
     ``score_fn`` maps one position block of the generator to its scores
-    (:func:`linear_scorer`, or an
-    :class:`~repro.store.procwork.ArenaLinearScorer`).  The sweep keeps
+    (e.g. :func:`linear_scorer`).  The sweep keeps
     each block's links above ``threshold`` (the greedy selector can
     never pick the rest) as slot positions, and runs one exact global
     greedy walk (:func:`~repro.matching.greedy.greedy_walk`) over those

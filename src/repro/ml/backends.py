@@ -494,6 +494,10 @@ class SVMBackend(ModelBackend):
     kept tractable by the certified working-set sweep, its compact
     resident row cache, and block screening (``svm.blocks_skipped`` /
     ``phase.svm_epoch`` in the bound session's metrics registry).
+
+    Every fit, in either mode, adds to ``svm.unconverged_fits`` in that
+    same registry when it stops at ``max_iter`` short of ``tol``
+    (:attr:`~repro.ml.svm.LinearSVC.converged_` is ``False``).
     """
 
     kind = "svm"
@@ -642,6 +646,9 @@ class SVMBackend(ModelBackend):
                 prepare=lambda X: self._scaled(self._transform(X)),
                 registry=self._metrics_registry(),
             )
+        self._metrics_registry().counter("svm.unconverged_fits").inc(
+            int(not self.svc_.converged_)
+        )
         packed = np.concatenate([self.svc_.coef_, [self.svc_.intercept_]])
         self._fit_cache = (labels.copy(), packed.copy())
         return packed

@@ -417,21 +417,31 @@ def dual_coordinate_descent(
             f"{signed.shape[0]} labels for {n_samples} design rows"
         )
     box = np.full(n_samples, C) if sample_C is None else sample_C
-    if shrink:
-        w, converged_at, sweep_stats = _certified_sweep(
-            rows, signed, box, max_iter, tol, seed
-        )
-        if stats is not None:
-            stats.update(sweep_stats)
-        return w, converged_at
+    sweep = _certified_sweep if shrink else _plain_sweep
+    w, n_iter, _, sweep_stats = sweep(rows, signed, box, max_iter, tol, seed)
+    if stats is not None:
+        stats.update(sweep_stats)
+    return w, n_iter
 
+
+def _plain_sweep(
+    rows, signed, box, max_iter, tol, seed,
+) -> Tuple[np.ndarray, int, bool, Dict[str, float]]:
+    """The plain full sweep: every dual visited every epoch.
+
+    Returns ``(w, n_iter, converged, {})``, the shape of
+    :func:`_certified_sweep`'s result; ``converged`` is whether an
+    epoch met ``tol`` (``False`` means the fit stopped at
+    ``max_iter``).
+    """
+    n_samples = signed.shape[0]
     q_diag = rows.q_diag
     row_at = rows.row
     alpha = np.zeros(n_samples)
     w = np.zeros(rows.dim)
     rng = np.random.default_rng(seed)
     order = np.arange(n_samples)
-    converged_at = max_iter
+    converged_at, converged = max_iter, False
     for iteration in range(max_iter):
         rng.shuffle(order)
         max_violation = 0.0
@@ -458,22 +468,22 @@ def dual_coordinate_descent(
                 if delta != 0.0:
                     w += delta * row
         if max_violation < tol:
-            converged_at = iteration + 1
+            converged_at, converged = iteration + 1, True
             break
-    return w, converged_at
+    return w, converged_at, converged, {}
 
 
 def _certified_sweep(
     rows, signed, box, max_iter, tol, seed, histogram=None,
-) -> Tuple[np.ndarray, int, Dict[str, float]]:
+) -> Tuple[np.ndarray, int, bool, Dict[str, float]]:
     """The certified working-set sweep over a row store.
 
     ``rows`` is a :class:`_BlockRows` or :class:`_SourceRows`; the
     visits, updates and certificates are the same either way, so the
-    weights and iteration count are bit-identical to the plain sweep
-    of :func:`dual_coordinate_descent` for the same seed and row order.
+    weights, iteration count and convergence flag are bit-identical to
+    :func:`_plain_sweep`'s for the same seed and row order.
     ``histogram`` (optional) observes each epoch's wall time.  Returns
-    ``(w, n_iter, stats)``.
+    ``(w, n_iter, converged, stats)``.
     """
     n_samples = signed.shape[0]
     dim = rows.dim
@@ -525,7 +535,7 @@ def _certified_sweep(
             screen_snap[sub] = drift_total
             screenable[sel[~fresh]] = False
 
-    converged_at = max_iter
+    converged_at, converged = max_iter, False
     for iteration in range(max_iter):
         if histogram is not None:
             epoch_started = time.perf_counter()
@@ -624,7 +634,7 @@ def _certified_sweep(
         if histogram is not None:
             histogram.observe(time.perf_counter() - epoch_started)
         if max_violation < tol:
-            converged_at = iteration + 1
+            converged_at, converged = iteration + 1, True
             break
 
     screened = np.flatnonzero(screenable)
@@ -645,7 +655,7 @@ def _certified_sweep(
         "verify_max_residual": verify_max_residual,
         "drift": drift_total,
     }
-    return w, converged_at, stats
+    return w, converged_at, converged, stats
 
 
 def _unshrink_verify(
@@ -730,6 +740,11 @@ class LinearSVC:
         Run the certified working-set sweep (bit-identical to the full
         sweep, near-zero work per pinned dual); ``False`` forces the
         plain full-sweep reference.
+
+    After a fit, ``n_iter_`` is the number of epochs run and
+    ``converged_`` is whether one of them met ``tol``: ``False`` means
+    the fit stopped at ``max_iter`` short of the tolerance.  A
+    single-class label set needs no epoch and counts as converged.
     """
 
     def __init__(
@@ -754,6 +769,7 @@ class LinearSVC:
         self.coef_: Optional[np.ndarray] = None
         self.intercept_: float = 0.0
         self.n_iter_: int = 0
+        self.converged_: bool = False
         self.shrink_stats_: Dict = {}
 
     def fit(
@@ -788,13 +804,11 @@ class LinearSVC:
         n_samples = sum(block.shape[0] for block in design)
 
         def solve(signed, box):
-            stats: Dict = {}
-            w, n_iter = dual_coordinate_descent(
-                design, signed, C=self.C, max_iter=self.max_iter,
-                tol=self.tol, seed=self.seed, sample_C=box,
-                shrink=self.shrink, stats=stats,
+            sweep = _certified_sweep if self.shrink else _plain_sweep
+            return sweep(
+                _BlockRows(design), signed, box,
+                self.max_iter, self.tol, self.seed,
             )
-            return w, n_iter, stats
 
         return self._fit(
             n_samples, y, sample_weight, None,
@@ -844,12 +858,10 @@ class LinearSVC:
         def solve(signed, box):
             design = _read_design(source, spans, prep)
             if not self.shrink:
-                w, n_iter = dual_coordinate_descent(
-                    [design], signed, C=self.C, max_iter=self.max_iter,
-                    tol=self.tol, seed=self.seed, sample_C=box,
-                    shrink=False,
+                return _plain_sweep(
+                    _BlockRows([design]), signed, box,
+                    self.max_iter, self.tol, self.seed,
                 )
-                return w, n_iter, {}
             rows = _SourceRows(
                 source, spans, prep, design,
                 counter=(
@@ -857,7 +869,7 @@ class LinearSVC:
                     if registry is not None else None
                 ),
             )
-            w, n_iter, stats = _certified_sweep(
+            w, n_iter, converged, stats = _certified_sweep(
                 rows, signed, box, self.max_iter, self.tol, self.seed,
                 histogram=(
                     registry.histogram("phase.svm_epoch")
@@ -865,7 +877,7 @@ class LinearSVC:
                 ),
             )
             stats.update(rows.stats())
-            return w, n_iter, stats
+            return w, n_iter, converged, stats
 
         return self._fit(
             sum(length for _, length in spans), y, sample_weight, sample_C,
@@ -877,9 +889,9 @@ class LinearSVC:
 
         Checks labels and per-sample costs, short-cuts a single-class
         label set, then runs ``solve(signed, box)`` — which returns
-        ``(w, n_iter, shrink_stats)`` in the augmented space — and
-        splits off the intercept.  ``width()`` gives the feature count
-        for the single-class case.
+        ``(w, n_iter, converged, shrink_stats)`` in the augmented space
+        — and splits off the intercept.  ``width()`` gives the feature
+        count for the single-class case.
         """
         if n_samples == 0:
             raise ModelError("cannot fit on zero samples")
@@ -898,9 +910,12 @@ class LinearSVC:
             self.coef_ = np.zeros(width())
             self.intercept_ = float(signed[0])
             self.n_iter_ = 0
+            self.converged_ = True
             self.shrink_stats_ = {}
             return self
-        w, self.n_iter_, self.shrink_stats_ = solve(signed, box)
+        w, self.n_iter_, self.converged_, self.shrink_stats_ = solve(
+            signed, box
+        )
         self.coef_, self.intercept_ = _split_bias(w, self.fit_intercept)
         return self
 

@@ -53,6 +53,11 @@ class TestCommitteeQueryStrategy:
         # order (bootstrap reseeded per round) but cover the pool.
         assert set(first) == set(second) == {0, 1, 2, 3}
 
+    def test_negative_batch_rejected(self):
+        strategy, _ = _bound_strategy()
+        with pytest.raises(ReproError, match="batch_size"):
+            strategy.select(PAIRS, np.zeros(4), np.zeros(4), np.ones(4, bool), -1)
+
     def test_length_mismatch_rejected(self):
         strategy, _ = _bound_strategy()
         with pytest.raises(ReproError):

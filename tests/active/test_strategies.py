@@ -323,3 +323,26 @@ class TestSelectStreamed:
         )
         assert picks == strategy.select(PAIRS, scores, labels, queryable, 2)
         assert picks == [1]
+
+
+@pytest.mark.parametrize(
+    "make_strategy",
+    [ConflictFalseNegativeStrategy, RandomQueryStrategy, MarginQueryStrategy],
+    ids=["conflict", "random", "margin"],
+)
+@pytest.mark.parametrize("streamed", [False, True], ids=["select", "streamed"])
+def test_negative_batch_size_rejected(make_strategy, streamed):
+    """A negative batch would slice off the last picks; 0 picks none."""
+    scores = np.array([0.9, 0.4, 0.45, 0.2])
+    labels = np.array([1, 0, 0, 0])
+    queryable = np.array([False, True, True, True])
+
+    def select(batch_size):
+        if streamed:
+            blocks = _blockify_inputs(PAIRS, scores, labels, queryable, 2)
+            return make_strategy().select_streamed(blocks, batch_size)
+        return make_strategy().select(PAIRS, scores, labels, queryable, batch_size)
+
+    assert select(0) == []
+    with pytest.raises(ReproError, match="batch_size"):
+        select(-1)

@@ -343,6 +343,36 @@ class TestFallbackCounters:
         assert serial  # non-trivial selection
         assert fanned == serial
 
+    def test_linear_scorer_ships_the_arena_to_a_process_pool(
+        self, tiny_synthetic_pair, tmp_path
+    ):
+        from repro.store import ArenaLinearScorer
+
+        pair = tiny_synthetic_pair
+
+        def sweep(**session_kwargs):
+            with AlignmentSession(
+                pair, known_anchors=pair.anchors, **session_kwargs
+            ) as session:
+                weights = np.random.default_rng(5).normal(
+                    size=session.n_features
+                )
+                scorer = linear_scorer(session, weights)
+                selected = streamed_selection(
+                    CandidateGenerator(pair, block_size=97),
+                    scorer,
+                    workers=session.executor,
+                )
+                return scorer, selected, session.metrics_snapshot()["counters"]
+
+        _, serial, _ = sweep()
+        with ProcessExecutor(2) as executor:
+            scorer, fanned, counters = sweep(workers=executor, store=tmp_path)
+        assert isinstance(scorer, ArenaLinearScorer)
+        assert serial  # non-trivial selection
+        assert fanned == serial
+        assert counters["fallback.serial_sweep"] == 0
+
     def test_counters_reach_the_session_snapshot(self, handmade_pair):
         with ProcessExecutor(2) as executor:
             with AlignmentSession(

@@ -20,6 +20,7 @@ from repro.ml.kernels import NystroemMap, RandomFourierMap
 from repro.ml.ridge import ridge_fit
 from repro.ml.scaling import StandardScaler
 from repro.ml.svm import LinearSVC
+from repro.obs.metrics import global_registry
 
 
 def _training_data(seed=0, n=61, d=6):
@@ -275,6 +276,21 @@ class TestSVMBackend:
         backend = SVMBackend()
         with pytest.raises(ModelError):
             backend.load_state_dict({"kind": "ridge"})
+
+    @pytest.mark.parametrize("mode", ["supervised", "pu"])
+    def test_fits_stopped_at_max_iter_are_counted(self, mode):
+        X, y = _training_data()
+        train = np.flatnonzero(y == 1)[:8] if mode == "pu" else np.arange(30)
+        labels = np.zeros(X.shape[0], dtype=np.int64)
+        labels[train] = y[train] if mode == "supervised" else 1
+        counter = global_registry().counter("svm.unconverged_fits")
+        for max_iter, stops_short in ((1, True), (1000, False)):
+            backend = SVMBackend(seed=2, max_iter=max_iter, mode=mode)
+            backend.begin(DenseBlockSource(X), train_indices=train)
+            before = counter.value
+            backend.fit(labels)
+            assert backend.svc_.converged_ is not stops_short
+            assert counter.value - before == int(stops_short)
 
 
 class TestPUSVMBackend:

@@ -22,6 +22,7 @@ from repro.ml.svm import (
     PegasosSVC,
     _BlockRows,
     _certified_sweep,
+    _plain_sweep,
     _read_design,
     _source_spans,
     _SourceRows,
@@ -316,14 +317,16 @@ def test_certified_sweep_matches_plain_loop(problem):
     """Differential oracle: the certified sweep over every row store
     reproduces the plain ``shrink=False`` loop bit for bit."""
     design, signed, box, sizes, max_iter, tol, seed = problem
-    w_ref, it_ref = dual_coordinate_descent(
-        [design], signed, C=1.0, max_iter=max_iter, tol=tol, seed=seed,
-        sample_C=box, shrink=False,
+    w_ref, it_ref, converged_ref, _ = _plain_sweep(
+        _BlockRows([design]), signed, box, max_iter, tol, seed
     )
     for name, rows in _row_stores(design, sizes):
-        w, it, stats = _certified_sweep(rows, signed, box, max_iter, tol, seed)
+        w, it, converged, stats = _certified_sweep(
+            rows, signed, box, max_iter, tol, seed
+        )
         assert w.tobytes() == w_ref.tobytes(), name
         assert it == it_ref, name
+        assert converged == converged_ref, name
         assert stats["verify_checked"] == stats["screened_final"], name
 
 
@@ -372,6 +375,37 @@ def test_source_store_serves_design_rows(schedule):
             assert np.array_equal(block[sel - offset], design[sel])
             verified.extend(sel.tolist())
         assert verified == cand.tolist()
+
+
+class TestConvergenceFlag:
+    """``converged_`` tells a fit that met ``tol`` from one that stopped
+    at ``max_iter``; ``n_iter_ == max_iter`` alone cannot."""
+
+    @pytest.mark.parametrize("shrink", [False, True])
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_capped_and_converged_fits(self, shrink, streamed):
+        X, y, _ = _problem(seed=4)
+
+        def fit(max_iter):
+            svc = LinearSVC(seed=4, tol=1e-3, max_iter=max_iter, shrink=shrink)
+            if streamed:
+                return svc.fit_source(_MultiBlockSource(X, (40, 80)), y)
+            return svc.fit(X, y)
+
+        converged = fit(1000)
+        assert converged.converged_
+        assert 1 < converged.n_iter_ < 1000
+        capped = fit(1)
+        assert not capped.converged_ and capped.n_iter_ == 1
+        # Converging on the last allowed epoch still counts as converged.
+        last = fit(converged.n_iter_)
+        assert last.converged_ and last.n_iter_ == last.max_iter
+        assert np.array_equal(last.coef_, converged.coef_)
+
+    def test_single_class_needs_no_epoch(self):
+        X, _, _ = _problem(seed=4)
+        model = LinearSVC().fit(X, np.zeros(len(X), dtype=np.int64))
+        assert model.converged_ and model.n_iter_ == 0
 
 
 class TestNonFiniteInputs:

@@ -185,19 +185,20 @@ class TestCommands:
     def test_engine_raises_when_a_race_is_not_identical(
         self, monkeypatch, tmp_path
     ):
-        import dataclasses
-
         from repro.eval import timing
         from repro.exceptions import ExperimentError
 
-        race = timing.compare_store_paths
+        run_anchor_rounds = timing.run_anchor_rounds
 
         def diverging(*args, **kwargs):
-            return dataclasses.replace(
-                race(*args, **kwargs), identical_selection=False
-            )
+            run = run_anchor_rounds(*args, **kwargs)
+            if kwargs.get("store") is None:
+                return run
+            # Plant a stray pick in the store run's selection.
+            selection = run.outputs["selection"] + [(("u", "v"), 1.0)]
+            return run._replace(outputs={**run.outputs, "selection": selection})
 
-        monkeypatch.setattr(timing, "compare_store_paths", diverging)
+        monkeypatch.setattr(timing, "run_anchor_rounds", diverging)
         with pytest.raises(ExperimentError) as error:
             main(
                 [
