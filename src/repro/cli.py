@@ -665,8 +665,8 @@ def cmd_engine(args: argparse.Namespace) -> str:
                 "Streamed active fit vs materialized task "
                 f"(|H|={len(split.candidates)}, {n_blocks} blocks)",
                 ("materialized", "streamed"),
-                fit(**backend),
-                fit(streamed=True, **backend),
+                fit(refresh=True, **backend),
+                fit(streamed=True, refresh=True, **backend),
             )
         )
     for race in races[1:]:

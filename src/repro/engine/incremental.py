@@ -51,6 +51,7 @@ from repro.meta.algebra import (
     expr_shape,
     pad_csr,
 )
+from repro.meta.proximity import csr_values_at
 
 __all__ = [
     "DeltaEvaluator",
@@ -192,13 +193,6 @@ class DeltaEvaluator:
         self._expr_memo: Dict[str, Expr] = {}
         self._value_memo: Dict[str, sparse.csr_matrix] = {}
         self._new_memo: Dict[str, Tuple[Expr, sparse.csr_matrix]] = {}
-        # Sorted linearized entry keys per branch value, reused across
-        # the many Parallel lookups that probe the same branch.  The
-        # matrix is stored alongside its keys: the id() key is only
-        # unique while the object is alive, so the memo must keep it so.
-        self._entry_keys_memo: Dict[
-            int, Tuple[sparse.csr_matrix, np.ndarray]
-        ] = {}
 
     @property
     def names(self) -> frozenset:
@@ -317,7 +311,8 @@ class DeltaEvaluator:
         Each term's support is contained in its delta branch's support,
         so instead of scipy's O(nnz(static)) elementwise multiplies the
         sibling branches' values are read at exactly the delta entries —
-        O(m log nnz) for an m-entry branch delta.  Branches left of the
+        an m-entry branch delta reads only the sibling entries in the
+        rows those m entries touch.  Branches left of the
         delta branch contribute old values, branches right of it new
         values, which telescopes exactly to ``new(∘) - old(∘)``.
         """
@@ -336,7 +331,7 @@ class DeltaEvaluator:
                     continue
                 values = self._lookup_old(other, part.row, part.col)
                 if j > i and changes[j] is not None:
-                    values = values + self._values_at(
+                    values = values + csr_values_at(
                         changes[j], part.row, part.col
                     )
                 data *= values
@@ -358,39 +353,24 @@ class DeltaEvaluator:
         """
         component_view = self._engine.components(expr)
         if component_view is None:
-            return self._values_at(self._old(expr), rows, cols)
+            return csr_values_at(self._old(expr), rows, cols)
         base, pending = component_view
         values = self._masked_values_at(base, rows, cols)
         for change in pending:
             values = values + self._masked_values_at(change, rows, cols)
         return values
 
+    @staticmethod
     def _masked_values_at(
-        self, matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
+        matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
         """Entry lookup tolerating positions beyond the matrix's shape."""
         inside = (rows < matrix.shape[0]) & (cols < matrix.shape[1])
         if inside.all():
-            return self._values_at(matrix, rows, cols)
+            return csr_values_at(matrix, rows, cols)
         values = np.zeros(rows.size, dtype=np.float64)
-        values[inside] = self._values_at(matrix, rows[inside], cols[inside])
+        values[inside] = csr_values_at(matrix, rows[inside], cols[inside])
         return values
-
-    def _values_at(
-        self, matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Targeted entry lookup with per-matrix entry-key caching."""
-        from repro.meta.proximity import csr_entry_keys, csr_values_at
-
-        cache_key = id(matrix)
-        memoized = self._entry_keys_memo.get(cache_key)
-        if memoized is None or memoized[0] is not matrix:
-            matrix.sort_indices()
-            entry_keys = csr_entry_keys(matrix)
-            self._entry_keys_memo[cache_key] = (matrix, entry_keys)
-        else:
-            entry_keys = memoized[1]
-        return csr_values_at(matrix, rows, cols, entry_keys=entry_keys)
 
     @staticmethod
     def _sum_terms(terms) -> Optional[sparse.csr_matrix]:

@@ -187,6 +187,7 @@ class _Structure:
     """
 
     name: str
+    column: int  # the structure's column in extracted feature matrices
     expr: Expr
     anchor_dependent: bool
     delta_capable: bool
@@ -214,6 +215,12 @@ class _CandidateView:
     subsequent feature refresh rewrites only the affected entries of
     ``X`` — a delta with ``m`` non-zeros costs O(m log q), not O(q).
 
+    A list extracted a second time also keeps its feature ``block``,
+    which the same delta path patches at the dirty positions, so a
+    repeated extraction is one copy.  A list extracted once (a
+    materialized task's matrix, refreshed in place by its owner) never
+    pays for a block it would not read again.
+
     The sorted permutations of the keys and of the left/right index
     arrays are what make the inverted lookups (delta entry -> view
     positions, changed row/col -> view positions) logarithmic.
@@ -222,8 +229,7 @@ class _CandidateView:
     pairs: Sequence[LinkPair]  # kept alive so id() stays unique
     left_indices: np.ndarray
     right_indices: np.ndarray
-    query_keys: np.ndarray  # linearized row-major (i, j) lookup keys
-    key_order: np.ndarray  # argsort of query_keys
+    key_order: np.ndarray  # argsort of the row-major (i, j) keys
     keys_sorted: np.ndarray
     left_order: np.ndarray  # argsort of left_indices
     left_sorted: np.ndarray
@@ -231,6 +237,8 @@ class _CandidateView:
     right_sorted: np.ndarray
     values: Dict[str, np.ndarray] = field(default_factory=dict)
     dirty: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    extracted: bool = False  # whether extract() has served this list
+    block: Optional[np.ndarray] = None  # C-order feature matrix
 
     def positions_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """View positions whose left user index is in ``rows``."""
@@ -297,11 +305,12 @@ class AlignmentSession:
         are byte-identical to the serial path.
     view_cache_size:
         Upper bound on cached candidate views.  Each cached view holds
-        the per-structure count values of one candidate list, so the
-        bound is also the session's feature-memory bound: streamed fits
-        with more blocks than this deliberately recompute lookups per
-        pass (bounded memory) — raise it to trade memory for speed when
-        a streamed task's block count is known and affordable.
+        the per-structure count values of one candidate list, and a
+        view of a list extracted twice also holds its feature block, so
+        the bound is also the session's feature-memory bound: streamed
+        fits with more blocks than this deliberately recompute lookups
+        per pass (bounded memory) — raise it to trade memory for speed
+        when a streamed task's block count is known and affordable.
     store:
         Disk-backed matrix store: a directory path or a shared
         :class:`~repro.store.arena.MatrixArena`.  When set, every
@@ -402,11 +411,14 @@ class AlignmentSession:
         self._structures: List[_Structure] = [
             _Structure(
                 name=name,
+                column=column,
                 expr=expr,
                 anchor_dependent=ANCHOR_MATRIX in expr.leaves(),
                 delta_capable=supports_delta(expr, ANCHOR_MATRIX),
             )
-            for name, expr in zip(self.family.feature_names, self.family.exprs)
+            for column, (name, expr) in enumerate(
+                zip(self.family.feature_names, self.family.exprs)
+            )
         ]
 
     # ------------------------------------------------------------------
@@ -731,7 +743,7 @@ class AlignmentSession:
         )
 
     def _invalidate_structure(self, structure: _Structure) -> None:
-        """Drop one structure's cached counts, views and store slots.
+        """Drop one structure's cached counts, view state and store slots.
 
         The partial-arena GC lives here: a structure invalidated by an
         anchor switch or a network delta also drops its dedicated fold
@@ -756,15 +768,19 @@ class AlignmentSession:
             for view in self._views.values():
                 view.values.pop(structure.name, None)
                 view.dirty.pop(structure.name, None)
+                view.block = None
 
     def _apply_structure_delta(
         self, structure: _Structure, change: sparse.csr_matrix
-    ) -> None:
-        """Exact sparse update of one structure's cached state."""
-        if change.nnz == 0:
-            return
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact sparse update of one structure's cached state.
+
+        ``change`` must hold entries; returns their rows and columns.
+        """
         structure.pending.append(change)
         coo = change.tocoo()
+        rows = coo.row.astype(np.int64)
+        cols = coo.col.astype(np.int64)
         row_sums = structure.row_sums.copy()
         np.add.at(row_sums, coo.row, coo.data)
         structure.row_sums = row_sums
@@ -772,11 +788,9 @@ class AlignmentSession:
         np.add.at(col_sums, coo.col, coo.data)
         structure.col_sums = col_sums
         structure.proximity = None  # rebuilt lazily from updated counts
-        change_keys = (
-            coo.row.astype(np.int64) * change.shape[1] + coo.col
-        )
-        changed_rows = np.unique(coo.row.astype(np.int64))
-        changed_cols = np.unique(coo.col.astype(np.int64))
+        change_keys = rows * change.shape[1] + cols
+        changed_rows = np.unique(rows)
+        changed_cols = np.unique(cols)
         with self._state_lock:
             for view in self._views.values():
                 values = view.values.get(structure.name)
@@ -799,7 +813,12 @@ class AlignmentSession:
                 )
                 if affected.size:
                     view.dirty.setdefault(structure.name, []).append(affected)
+                    if view.block is not None:
+                        view.block[affected, structure.column] = (
+                            self._view_scores(view, structure, affected)
+                        )
             self.stats.delta_updates += 1
+        return rows, cols
 
     # ------------------------------------------------------------------
     # Network evolution
@@ -1302,10 +1321,10 @@ class AlignmentSession:
             dirty_rows: List[np.ndarray] = []
             dirty_cols: List[np.ndarray] = []
             for structure, change in zip(delta_structures, changes):
-                self._apply_structure_delta(structure, change)
-                coo = change.tocoo()
-                dirty_rows.append(coo.row.astype(np.int64))
-                dirty_cols.append(coo.col.astype(np.int64))
+                if change.nnz:
+                    rows, cols = self._apply_structure_delta(structure, change)
+                    dirty_rows.append(rows)
+                    dirty_cols.append(cols)
             if invalidated_visible:
                 self._record_dirty(everything=True)
             else:
@@ -1358,12 +1377,12 @@ class AlignmentSession:
         n_right = self.pair.right.slot_count(self.pair.anchor_node_type)
         with self._state_lock:
             for view in self._views.values():
-                view.query_keys = (
+                keys = (
                     view.left_indices.astype(np.int64) * n_right
                     + view.right_indices
                 )
-                view.key_order = np.argsort(view.query_keys, kind="stable")
-                view.keys_sorted = view.query_keys[view.key_order]
+                view.key_order = np.argsort(keys, kind="stable")
+                view.keys_sorted = keys[view.key_order]
 
     # ------------------------------------------------------------------
     # Candidate views
@@ -1386,17 +1405,16 @@ class AlignmentSession:
                 return view
         left_indices, right_indices = self.pair.pairs_to_indices(pairs)
         n_right = self.pair.right.slot_count(self.pair.anchor_node_type)
-        query_keys = left_indices.astype(np.int64) * n_right + right_indices
-        key_order = np.argsort(query_keys, kind="stable")
+        keys = left_indices.astype(np.int64) * n_right + right_indices
+        key_order = np.argsort(keys, kind="stable")
         left_order = np.argsort(left_indices, kind="stable")
         right_order = np.argsort(right_indices, kind="stable")
         view = _CandidateView(
             pairs=pairs,
             left_indices=left_indices,
             right_indices=right_indices,
-            query_keys=query_keys,
             key_order=key_order,
-            keys_sorted=query_keys[key_order],
+            keys_sorted=keys[key_order],
             left_order=left_order,
             left_sorted=left_indices[left_order],
             right_order=right_order,
@@ -1422,27 +1440,29 @@ class AlignmentSession:
         if values is None:
             self._ensure_counts(structure)
             values = csr_values_at(
-                structure.counts,
-                view.left_indices,
-                view.right_indices,
-                query_keys=view.query_keys,
+                structure.counts, view.left_indices, view.right_indices
             )
             view.values[structure.name] = values
         return values
 
     def _view_scores(
-        self, view: _CandidateView, structure: _Structure
+        self,
+        view: _CandidateView,
+        structure: _Structure,
+        positions: Union[slice, np.ndarray] = slice(None),
     ) -> np.ndarray:
-        """Dice proximity scores of one structure at the view's positions.
+        """Dice proximity scores of one structure at (some of) the view's
+        positions.
 
         ``_view_values`` guarantees counts and sums exist; afterwards the
         sums are maintained by the delta path without folding pending
-        changes into the count matrix.
+        changes into the count matrix.  Scores are elementwise, so any
+        subset of positions gets the bytes a whole column would hold.
         """
-        values = self._view_values(view, structure)
+        values = self._view_values(view, structure)[positions]
         denominators = (
-            structure.row_sums[view.left_indices]
-            + structure.col_sums[view.right_indices]
+            structure.row_sums[view.left_indices[positions]]
+            + structure.col_sums[view.right_indices[positions]]
         )
         return dice_scores(values, denominators)
 
@@ -1455,19 +1475,31 @@ class AlignmentSession:
         Per-structure score columns are independent, so they fan out
         across the session's executor; stacking in family order keeps
         the result byte-identical to a serial extraction.
+
+        A list extracted again (the same object, as with views) keeps
+        its matrix as its view's feature block from that second call
+        on; every delta patches the block at the positions whose scores
+        moved, and later calls return a copy, which callers may mutate.
         """
         with self._state_lock:
             self.stats.extract_calls += 1
         if not pairs:
             return np.zeros((0, self.n_features), dtype=np.float64)
         view = self._view_for(pairs)
+        if view.block is not None:
+            return view.block.copy()
         columns = self.executor.map(
             lambda structure: self._view_scores(view, structure),
             self._structures,
         )
         if self.include_bias:
             columns.append(np.ones(len(pairs), dtype=np.float64))
-        return np.column_stack(columns)
+        X = np.column_stack(columns)
+        if not view.extracted:
+            view.extracted = True
+            return X
+        view.block = X
+        return X.copy()
 
     def extract_single(self, pair: LinkPair) -> np.ndarray:
         """Feature vector for one candidate link."""
@@ -1528,12 +1560,11 @@ class AlignmentSession:
                 # Only the positions touching a changed row/column sum
                 # can have changed scores; rewrite exactly those.
                 positions = np.unique(np.concatenate(dirty))
-                values = view.values[structure.name][positions]
-                denominators = (
-                    structure.row_sums[view.left_indices[positions]]
-                    + structure.col_sums[view.right_indices[positions]]
+                return (
+                    column,
+                    positions,
+                    self._view_scores(view, structure, positions),
                 )
-                return column, positions, dice_scores(values, denominators)
             if structure.name in view.values:
                 # No delta touched this structure since the last refresh;
                 # the column is already current.

@@ -12,7 +12,7 @@ users with many instances to *anyone*.  Scores live in ``[0, 1]`` and are
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -42,18 +42,6 @@ class ProximityMatrix:
         self._counts.sort_indices()
         self._row_sums = np.asarray(counts.sum(axis=1)).ravel()
         self._col_sums = np.asarray(counts.sum(axis=0)).ravel()
-        self._entry_keys = csr_entry_keys(self._counts)
-
-    def _values_at(
-        self, left_indices: np.ndarray, right_indices: np.ndarray
-    ) -> np.ndarray:
-        """Stored count values at (i, j) positions, zeros where absent."""
-        return csr_values_at(
-            self._counts,
-            left_indices,
-            right_indices,
-            entry_keys=self._entry_keys,
-        )
 
     @property
     def shape(self):
@@ -81,7 +69,7 @@ class ProximityMatrix:
             raise FeatureError("index arrays must have equal shape")
         if left_indices.size == 0:
             return np.zeros(0, dtype=np.float64)
-        counts = self._values_at(left_indices, right_indices)
+        counts = csr_values_at(self._counts, left_indices, right_indices)
         denominators = self._row_sums[left_indices] + self._col_sums[right_indices]
         return dice_scores(counts, denominators)
 
@@ -114,39 +102,21 @@ def dice_scores(
     return scores
 
 
-def csr_entry_keys(
-    matrix: sparse.csr_matrix, start: int = 0, stop: Optional[int] = None
-) -> np.ndarray:
-    """Row-major keys ``i * n_cols + j`` of the entries in rows [start, stop).
-
-    Scipy's CSR fancy indexing walks entries one by one in Python; one
-    searchsorted over these keys serves a batch lookup in vectorized
-    time.  The keys are sorted when ``matrix`` has sorted indices.
-    """
-    if stop is None:
-        stop = matrix.shape[0]
-    indptr = matrix.indptr
-    row_lengths = np.diff(indptr[start : stop + 1])
-    rows = np.repeat(np.arange(start, stop, dtype=np.int64), row_lengths)
-    return rows * matrix.shape[1] + matrix.indices[indptr[start] : indptr[stop]]
-
-
 def csr_values_at(
-    matrix: sparse.csr_matrix,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    query_keys: Optional[np.ndarray] = None,
-    entry_keys: Optional[np.ndarray] = None,
+    matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Batch-read ``matrix[rows[k], cols[k]]`` values, zeros where absent.
 
-    Only the entries of the row window [min(rows), max(rows)] are
-    searched, so a row-major candidate block costs O(window), not
-    O(nnz).  ``query_keys`` may carry precomputed ``rows * n_cols +
-    cols`` keys (the incremental engine caches them per candidate
-    view), and ``entry_keys`` the matrix's precomputed sorted keys of
-    every row (:func:`csr_entry_keys`); otherwise the window's keys are
-    built on the fly.  A position outside the matrix's shape raises
+    Scipy's CSR fancy indexing walks entries one by one in Python;
+    instead, the entries of the rows the positions touch get sorted
+    keys ``rank * n_cols + j`` (a row's rank among the touched rows
+    comes from a cumsum over a boolean mask of the row window
+    [min(rows), max(rows)]), and one ``searchsorted`` serves the batch.
+    A handful of positions in a large matrix thus costs O(window rows +
+    touched entries), not O(nnz).  When every row of the window is
+    touched (a row-major candidate block), the window's entries are
+    read as one slice instead of gathered.  Sorts ``matrix``'s indices
+    in place.  A position outside the matrix's shape raises
     :class:`~repro.exceptions.FeatureError` — linearized keys would
     silently alias it to another row.
     """
@@ -161,20 +131,36 @@ def csr_values_at(
         raise FeatureError(
             f"lookup position outside the {n_rows} x {n_cols} matrix"
         )
-    start, stop = matrix.indptr[first], matrix.indptr[last + 1]
-    if entry_keys is None:
-        matrix.sort_indices()
-        window = csr_entry_keys(matrix, first, last + 1)
+    matrix.sort_indices()
+    indptr = matrix.indptr
+    ranks = rows - first  # offsets into the row window
+    touched = np.zeros(last - first + 1, dtype=bool)
+    touched[ranks] = True
+    if touched.all():
+        start, stop = indptr[first], indptr[last + 1]
+        row_lengths = np.diff(indptr[first : last + 2])
+        entries = slice(start, stop)
     else:
-        window = entry_keys[start:stop]
-    if query_keys is None:
-        query_keys = rows * n_cols + cols
-    values = np.zeros(query_keys.size, dtype=np.float64)
-    if window.size == 0:
+        touched_rows = np.flatnonzero(touched) + first
+        row_starts = indptr[touched_rows]
+        row_lengths = indptr[touched_rows + 1] - row_starts
+        # Entry k of touched row r sits at row_starts[r] + k.
+        entries = np.arange(row_lengths.sum()) + np.repeat(
+            row_starts - (np.cumsum(row_lengths) - row_lengths), row_lengths
+        )
+        ranks = (np.cumsum(touched) - 1)[ranks]
+    keys = (
+        np.repeat(np.arange(row_lengths.size, dtype=np.int64), row_lengths)
+        * n_cols
+        + matrix.indices[entries]
+    )
+    query_keys = ranks * n_cols + cols
+    values = np.zeros(rows.size, dtype=np.float64)
+    if keys.size == 0:
         return values
-    positions = np.minimum(np.searchsorted(window, query_keys), window.size - 1)
-    hits = window[positions] == query_keys
-    values[hits] = matrix.data[start + positions[hits]]
+    positions = np.minimum(np.searchsorted(keys, query_keys), keys.size - 1)
+    hits = keys[positions] == query_keys
+    values[hits] = matrix.data[entries][positions[hits]]
     return values
 
 

@@ -9,7 +9,6 @@ from scipy import sparse
 from repro.exceptions import FeatureError
 from repro.meta.proximity import (
     ProximityMatrix,
-    csr_entry_keys,
     csr_values_at,
     dice_proximity,
     dice_scores,
@@ -135,14 +134,28 @@ def test_zero_count_implies_zero_score(data):
 @st.composite
 def _lookup_case(draw):
     """A small CSR matrix (sorted or not, int32 or int64 indices) and a
-    batch of (row, col) queries, some possibly outside its shape."""
-    n_rows = draw(st.integers(0, 6))
+    batch of (row, col) queries, some possibly outside its shape.
+
+    Any row may hold no entry.  A tall matrix fills only its first and
+    last rows and a few between, and its queries favour those rows, so
+    a batch's row window spans empty rows it does not touch.  Queries
+    come in any order and may repeat (a drawn flag appends the batch
+    reversed)."""
+    n_rows = draw(st.one_of(st.integers(0, 6), st.integers(20, 60)))
     n_cols = draw(st.integers(0, 6))
+    filled = set(range(n_rows))
+    if n_rows > 6:
+        filled = {0, n_rows - 1}
+        filled.update(draw(st.lists(st.integers(1, n_rows - 2), max_size=3)))
     dense = np.zeros((n_rows, n_cols))
     indices, indptr = [], [0]
     shuffle = draw(st.booleans())
     for i in range(n_rows):
-        columns = draw(st.lists(st.integers(0, max(n_cols - 1, 0)), unique=True))
+        columns = []
+        if i in filled:
+            columns = draw(
+                st.lists(st.integers(0, max(n_cols - 1, 0)), unique=True)
+            )
         columns = [j for j in columns if j < n_cols]
         if not shuffle:
             columns.sort()
@@ -165,59 +178,34 @@ def _lookup_case(draw):
     low, pad = (-1, 1) if outside else (0, 0)
     row_high, col_high = n_rows - 1 + pad, n_cols - 1 + pad
     size = draw(st.integers(0, 12)) if min(row_high, col_high) >= low else 0
-    rows = draw(
-        st.lists(st.integers(low, max(row_high, low)), min_size=size, max_size=size)
-    )
+    row_values = st.integers(low, max(row_high, low))
+    if n_rows > 6:
+        row_values = st.one_of(st.sampled_from(sorted(filled)), row_values)
+    rows = draw(st.lists(row_values, min_size=size, max_size=size))
     cols = draw(
         st.lists(st.integers(low, max(col_high, low)), min_size=size, max_size=size)
     )
+    if draw(st.booleans()):
+        rows, cols = rows + rows[::-1], cols + cols[::-1]
     rows, cols = (np.asarray(values, dtype=np.int64) for values in (rows, cols))
     return matrix, dense, rows, cols
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    case=_lookup_case(),
-    precomputed_entries=st.booleans(),
-    precomputed_queries=st.booleans(),
-)
-def test_csr_values_at_matches_dense_indexing(
-    case, precomputed_entries, precomputed_queries
-):
-    """Windowed batch lookup == dense indexing, for any query batch."""
+@settings(max_examples=300, deadline=None)
+@given(case=_lookup_case())
+def test_csr_values_at_matches_dense_indexing(case):
+    """Touched-row batch lookup == dense indexing, for any query batch."""
     matrix, dense, rows, cols = case
-    kwargs = {}
-    if precomputed_entries:
-        matrix.sort_indices()
-        kwargs["entry_keys"] = csr_entry_keys(matrix)
-    if precomputed_queries:
-        kwargs["query_keys"] = rows * matrix.shape[1] + cols
     n_rows, n_cols = dense.shape
     inside = all(0 <= i < n_rows for i in rows) and all(0 <= j < n_cols for j in cols)
     if not inside:
         with pytest.raises(FeatureError):
-            csr_values_at(matrix, rows, cols, **kwargs)
+            csr_values_at(matrix, rows, cols)
         return
-    values = csr_values_at(matrix, rows, cols, **kwargs)
+    values = csr_values_at(matrix, rows, cols)
     expected = np.array([dense[i, j] for i, j in zip(rows, cols)], dtype=np.float64)
     assert values.dtype == np.float64
     assert values.tobytes() == expected.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_lookup_case(), start=st.integers(0, 6), stop=st.integers(0, 6))
-def test_csr_entry_keys_window_is_a_slice_of_the_full_keys(case, start, stop):
-    matrix = case[0]
-    matrix.sort_indices()
-    start = min(start, matrix.shape[0])
-    stop = min(max(stop, start), matrix.shape[0])
-    full = csr_entry_keys(matrix)
-    window = csr_entry_keys(matrix, start, stop)
-    assert window.dtype == np.int64
-    assert np.array_equal(
-        window, full[matrix.indptr[start] : matrix.indptr[stop]]
-    )
-    assert np.all(np.diff(full) > 0)
 
 
 @st.composite
