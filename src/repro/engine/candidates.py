@@ -67,17 +67,27 @@ def _support_mask(
 
     With ``rows`` the scan touches only those rows of every count
     matrix — the dirty-row refresh path of
-    :meth:`CandidateGenerator.refresh`.
+    :meth:`CandidateGenerator.refresh`.  Indicators share the counts'
+    index arrays and are summed smallest first; the sum starts from a
+    copy, since ``min_structures > 1`` prunes the mask in place.
     """
-    support: Optional[sparse.csr_matrix] = None
+    indicators = []
     for counts in session.structure_counts().values():
         matrix = counts.tocsr()
         if rows is not None:
             matrix = matrix[rows]
-        indicator = matrix.copy()
-        indicator.data = np.ones_like(indicator.data)
-        support = indicator if support is None else (support + indicator)
-    if support is None:
+        indicators.append(
+            sparse.csr_matrix(
+                (np.ones(matrix.nnz), matrix.indices, matrix.indptr),
+                shape=matrix.shape,
+            )
+        )
+    indicators.sort(key=lambda indicator: indicator.nnz)
+    if indicators:
+        support = indicators[0].copy()
+        for indicator in indicators[1:]:
+            support = support + indicator
+    else:
         # A family with no structures supports no pair at all: stream a
         # clean empty candidate space instead of silently un-pruning to
         # the full cross product.  Shapes are slot counts — matrix

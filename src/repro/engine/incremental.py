@@ -56,6 +56,7 @@ from repro.meta.proximity import csr_values_at
 __all__ = [
     "DeltaEvaluator",
     "apply_delta",
+    "csr_rows",
     "entries_to_csr",
     "leaf_occurrences",
     "pad_csr",
@@ -89,6 +90,13 @@ def entries_to_csr(
     delta.eliminate_zeros()
     delta.sort_indices()
     return delta
+
+
+def csr_rows(matrix: sparse.csr_matrix) -> np.ndarray:
+    """The row of every stored entry, in storage order (COO's ``row``)."""
+    return np.repeat(
+        np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr)
+    )
 
 
 def leaf_occurrences(expr: Expr, name: str) -> int:
@@ -190,6 +198,7 @@ class DeltaEvaluator:
                 {name: tuple(shape) for name, shape in shapes.items()}
             )
         self._delta_memo: Dict[str, Optional[sparse.csr_matrix]] = {}
+        self._entries_memo: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._expr_memo: Dict[str, Expr] = {}
         self._value_memo: Dict[str, sparse.csr_matrix] = {}
         self._new_memo: Dict[str, Tuple[Expr, sparse.csr_matrix]] = {}
@@ -315,30 +324,37 @@ class DeltaEvaluator:
         rows those m entries touch.  Branches left of the
         delta branch contribute old values, branches right of it new
         values, which telescopes exactly to ``new(∘) - old(∘)``.
+
+        A term keeps its branch change's sparsity pattern, so it is a
+        CSR on *copies* of that change's index arrays: :meth:`_sum_terms`
+        prunes in place, and the change stays memoized and seeded.
         """
         branches = expr.branches
+        shape = self._shape(expr)
         changes = [self._delta(branch) for branch in branches]
         terms = []
         for i, (branch, change) in enumerate(zip(branches, changes)):
-            if change is None:
+            if change is None or change.nnz == 0:
                 continue
-            part = change.tocoo()
-            if part.nnz == 0:
-                continue
-            data = part.data.astype(np.float64, copy=True)
+            entries = self._entries_memo.get(branch.key())
+            if entries is None:
+                entries = (csr_rows(change), change.indices.astype(np.int64))
+                self._entries_memo[branch.key()] = entries
+            rows, cols = entries
+            data = change.data.astype(np.float64, copy=True)
             for j, other in enumerate(branches):
                 if j == i:
                     continue
-                values = self._lookup_old(other, part.row, part.col)
+                values = self._lookup_old(other, rows, cols)
                 if j > i and changes[j] is not None:
-                    values = values + csr_values_at(
-                        changes[j], part.row, part.col
-                    )
+                    values += csr_values_at(changes[j], rows, cols)
                 data *= values
-            term = sparse.csr_matrix(
-                (data, (part.row, part.col)), shape=self._shape(expr)
+            terms.append(
+                sparse.csr_matrix(
+                    (data, change.indices.copy(), change.indptr.copy()),
+                    shape=shape,
+                )
             )
-            terms.append(term)
         return self._sum_terms(terms)
 
     def _lookup_old(
@@ -356,8 +372,8 @@ class DeltaEvaluator:
             return csr_values_at(self._old(expr), rows, cols)
         base, pending = component_view
         values = self._masked_values_at(base, rows, cols)
-        for change in pending:
-            values = values + self._masked_values_at(change, rows, cols)
+        if pending is not None:
+            values += self._masked_values_at(pending, rows, cols)
         return values
 
     @staticmethod

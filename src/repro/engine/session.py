@@ -50,6 +50,7 @@ from scipy import sparse
 from repro.engine.incremental import (
     DeltaEvaluator,
     apply_delta,
+    csr_rows,
     entries_to_csr,
     pad_csr,
     supports_delta,
@@ -183,7 +184,9 @@ class _Structure:
     ``pending`` holds delta count matrices that have been applied to
     the sums and the candidate views but not yet folded into ``counts``
     — the active loop scores through views only, so the O(nnz) sparse
-    addition is deferred until someone actually reads the counts.
+    addition is deferred until someone actually reads the counts.  A
+    growth event pads ``counts`` and the sums at once, but a pending
+    change keeps the shape it was computed at until the fold pads it.
     """
 
     name: str
@@ -584,9 +587,11 @@ class AlignmentSession:
                 # kernel reclaim those pages before the next structure.
                 self._release_store_pages()
             elif structure.pending:
-                counts = structure.counts
-                for change in structure.pending:
-                    counts = apply_delta(counts, change)
+                shape = structure.counts.shape
+                total = pad_csr(structure.pending[0], shape)
+                for change in structure.pending[1:]:
+                    total = total + pad_csr(change, shape)
+                counts = apply_delta(structure.counts, total)
                 # Canonicalize before publishing so concurrent batched
                 # lookups never race an in-place index sort.
                 counts.sort_indices()
@@ -778,14 +783,13 @@ class AlignmentSession:
         ``change`` must hold entries; returns their rows and columns.
         """
         structure.pending.append(change)
-        coo = change.tocoo()
-        rows = coo.row.astype(np.int64)
-        cols = coo.col.astype(np.int64)
+        rows = csr_rows(change)
+        cols = change.indices.astype(np.int64)
         row_sums = structure.row_sums.copy()
-        np.add.at(row_sums, coo.row, coo.data)
+        np.add.at(row_sums, rows, change.data)
         structure.row_sums = row_sums
         col_sums = structure.col_sums.copy()
-        np.add.at(col_sums, coo.col, coo.data)
+        np.add.at(col_sums, cols, change.data)
         structure.col_sums = col_sums
         structure.proximity = None  # rebuilt lazily from updated counts
         change_keys = rows * change.shape[1] + cols
@@ -801,7 +805,7 @@ class AlignmentSession:
                 # each delta key, honoring duplicate candidate pairs.
                 starts = np.searchsorted(view.keys_sorted, change_keys, "left")
                 ends = np.searchsorted(view.keys_sorted, change_keys, "right")
-                for start, end, amount in zip(starts, ends, coo.data):
+                for start, end, amount in zip(starts, ends, change.data):
                     if start < end:
                         values[view.key_order[start:end]] += amount
                 # Scores change wherever a row or column sum changed.
@@ -1344,9 +1348,6 @@ class AlignmentSession:
             if structure.counts is None or structure.counts.shape == shape:
                 return
             structure.counts = pad_csr(structure.counts, shape)
-            structure.pending = [
-                pad_csr(change, shape) for change in structure.pending
-            ]
             structure.row_sums = np.concatenate(
                 [
                     structure.row_sums,
@@ -1704,7 +1705,9 @@ class AlignmentSession:
                         else None
                     ),
                     "pending": [
-                        sparse.csr_matrix(change, copy=True)
+                        sparse.csr_matrix(
+                            pad_csr(change, structure.counts.shape), copy=True
+                        )
                         for change in structure.pending
                     ],
                 }

@@ -227,6 +227,17 @@ def pad_csr(
     return padded
 
 
+def add_padded(
+    left: sparse.csr_matrix, right: sparse.csr_matrix
+) -> sparse.csr_matrix:
+    """Sum of two CSR matrices, each padded to the larger shape."""
+    shape = (
+        max(left.shape[0], right.shape[0]),
+        max(left.shape[1], right.shape[1]),
+    )
+    return (pad_csr(left, shape) + pad_csr(right, shape)).tocsr()
+
+
 def expr_shape(
     expr: Expr, shapes: Mapping[str, Tuple[int, int]]
 ) -> Tuple[int, int]:
@@ -298,14 +309,6 @@ class CountingEngine:
         shared with a session's own count-matrix slots.
     """
 
-    #: Pending seeded changes folded eagerly past this depth, bounding
-    #: the cost of component-wise lookups between folds.  Each pending
-    #: change is sparse and lookups cost O(m log nnz) per component, so
-    #: a deep queue is far cheaper than the O(nnz) fold of a dense-ish
-    #: product it defers — the cap only bounds memory and lookup fanout
-    #: for very long sessions.
-    _MAX_PENDING = 32
-
     def __init__(
         self, matrices: MatrixBag, arena=None, arena_prefix: str = "engine/"
     ) -> None:
@@ -317,14 +320,15 @@ class CountingEngine:
             matrix.sort_indices()
         self._cache: Dict[str, sparse.csr_matrix] = {}
         self._deps: Dict[str, FrozenSet[str]] = {}
-        # key -> exact unfolded changes of the cached value (seeded by
-        # the delta algebra); folded lazily when the full matrix is
-        # demanded, served component-wise for targeted lookups.  The
-        # lock keeps (cache value, pending changes) consistent for
-        # concurrent readers: unlike the write-once product cache
-        # (where duplicate evaluation is benign), a torn read across a
-        # fold would silently drop seeded changes.
-        self._pending: Dict[str, Tuple[sparse.csr_matrix, ...]] = {}
+        # key -> the exact unfolded change of the cached value (the sum
+        # of every change the delta algebra seeded since the last fold);
+        # folded lazily when the full matrix is demanded, served
+        # component-wise for targeted lookups.  The lock keeps (cache
+        # value, pending change) consistent for concurrent readers:
+        # unlike the write-once product cache (where duplicate
+        # evaluation is benign), a torn read across a fold would
+        # silently drop seeded changes.
+        self._pending: Dict[str, sparse.csr_matrix] = {}
         self._pending_lock = threading.Lock()
         self._arena = arena
         self._arena_prefix = arena_prefix
@@ -381,7 +385,7 @@ class CountingEngine:
         if key in self._pending:
             with self._pending_lock:
                 pending = self._pending.get(key)
-                if pending:
+                if pending is not None:
                     cached = self._fold(key, self._cache[key], pending)
                     del self._pending[key]
                 else:
@@ -430,25 +434,14 @@ class CountingEngine:
         return result
 
     def _fold(
-        self,
-        key: str,
-        base: sparse.csr_matrix,
-        pending: Tuple[sparse.csr_matrix, ...],
+        self, key: str, base: sparse.csr_matrix, pending: sparse.csr_matrix
     ) -> sparse.csr_matrix:
-        """Materialize a seeded value: padded base plus exact changes.
+        """Materialize a seeded value: padded base plus the exact change.
 
-        Components may sit at different (monotonically growing) shapes
-        when several growth events seeded before any fold; everything
-        pads to the largest.
+        The change may sit at a larger shape than the base when growth
+        events seeded before the fold; both pad to the larger.
         """
-        parts = (base,) + pending
-        shape = (
-            max(part.shape[0] for part in parts),
-            max(part.shape[1] for part in parts),
-        )
-        result = pad_csr(base, shape)
-        for change in pending:
-            result = (result + pad_csr(change, shape)).tocsr()
+        result = add_padded(base, pending)
         result.eliminate_zeros()
         result.sort_indices()
         result = self._spill(key, result)
@@ -465,45 +458,46 @@ class CountingEngine:
         (:meth:`~repro.engine.incremental.DeltaEvaluator.updated_changes`)
         — exact by integer arithmetic — so after a matrix update the
         cache stays warm instead of re-running the expensive products.
-        The O(nnz) fold is **deferred**: :meth:`components` serves
-        targeted lookups from the unfolded parts, and :meth:`evaluate`
-        folds only when the full matrix is demanded (eagerly past a
-        small pending depth).  Returns whether a cached value existed
-        to seed — an uncached expression has nothing to keep warm.
+        The O(nnz) fold is **deferred**: each key keeps one pending
+        change, the sum of everything seeded since the last fold, which
+        :meth:`components` serves to targeted lookups and
+        :meth:`evaluate` folds only when the full matrix is demanded.
+        The sum sits at the largest shape seeded so far and is kept
+        even when it cancels to zero, because that shape carries the
+        growth the fold must pad the base to.  Returns whether a cached
+        value existed to seed — an uncached expression has nothing to
+        keep warm.
         """
         key = expr.key()
+        change = change.tocsr()
         with self._pending_lock:
-            base = self._cache.get(key)
-            if base is None:
+            if key not in self._cache:
                 self._pending.pop(key, None)
                 return False
-            pending = self._pending.get(key, ()) + (change.tocsr(),)
+            pending = self._pending.get(key)
+            self._pending[key] = (
+                change if pending is None else add_padded(pending, change)
+            )
             self._deps[key] = frozenset(expr.leaves())
-            if len(pending) >= self._MAX_PENDING:
-                # Publish the fold before dropping the pending entry —
-                # the ordering lock-free readers rely on.
-                self._fold(key, base, pending)
-                self._pending.pop(key, None)
-            else:
-                self._pending[key] = pending
         return True
 
     def components(
         self, expr: Expr
-    ) -> Optional[Tuple[sparse.csr_matrix, Tuple[sparse.csr_matrix, ...]]]:
-        """Cached value of ``expr`` as ``(base, pending changes)``.
+    ) -> Optional[Tuple[sparse.csr_matrix, Optional[sparse.csr_matrix]]]:
+        """Cached value of ``expr`` as ``(base, pending change)``.
 
-        The base may be at a smaller (pre-growth) shape than the
-        changes; callers doing targeted lookups mask positions outside
-        each component's shape instead of paying the fold.  ``None``
-        when nothing is cached.
+        The pending change is ``None`` when nothing was seeded since
+        the last fold.  The base may be at a smaller (pre-growth) shape
+        than the change; callers doing targeted lookups mask positions
+        outside each component's shape instead of paying the fold.
+        ``None`` when nothing is cached.
         """
         key = expr.key()
         with self._pending_lock:
             base = self._cache.get(key)
             if base is None:
                 return None
-            return base, self._pending.get(key, ())
+            return base, self._pending.get(key)
 
     def invalidate(self) -> None:
         """Drop all memoized results (call after the anchor matrix changes)."""

@@ -180,14 +180,29 @@ def _draw_event(data, pair, extended, tag):
     return None
 
 
-def _assert_matches_fresh(session, replica, include_words):
-    pairs = _live_pairs(session.pair)
-    fresh = AlignmentSession(
+def _fresh(session, replica, include_words):
+    return AlignmentSession(
         replica,
         known_anchors=session.known_anchors,
         include_words=include_words,
     )
+
+
+def _assert_matches_fresh(session, replica, include_words):
+    pairs = _live_pairs(session.pair)
+    fresh = _fresh(session, replica, include_words)
     assert session.extract(pairs).tobytes() == fresh.extract(pairs).tobytes()
+
+
+def _assert_counts_match_fresh(session, replica, include_words):
+    """Every folded count matrix holds a fresh session's stored arrays."""
+    expected = _fresh(session, replica, include_words).structure_counts()
+    for name, counts in session.structure_counts().items():
+        assert counts.shape == expected[name].shape, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(counts, part), getattr(expected[name], part)
+            ), (name, part)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,6 +230,47 @@ def test_every_event_folds_to_a_fresh_session(
         session.apply_network_delta(delta)
         replica.apply_delta(delta)
         _assert_matches_fresh(session, replica, include_words)
+    _assert_counts_match_fresh(session, replica, include_words)
+
+
+def _draw_anchors(data, session):
+    """The known anchors with one live pair added or one dropped."""
+    anchors = set(session.known_anchors)
+    if anchors and data.draw(st.booleans(), label="drop anchor"):
+        anchors.discard(data.draw(st.sampled_from(sorted(anchors))))
+        return anchors
+    taken_left = {left for left, _ in anchors}
+    taken_right = {right for _, right in anchors}
+    free = [
+        (u, v)
+        for u, v in _live_pairs(session.pair)
+        if u not in taken_left and v not in taken_right
+    ]
+    if free:
+        anchors.add(data.draw(st.sampled_from(free)))
+    return anchors
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 50), data=st.data())
+def test_deferred_folds_match_a_fresh_session(seed, data):
+    """Changes stay pending across growth events and anchor updates,
+    then fold once at the new shapes to a fresh session's counts."""
+    pair = _pair(seed)
+    replica = copy.deepcopy(pair)
+    session = AlignmentSession(pair, known_anchors=pair.anchors)
+    session.structure_counts()  # materialize: later deltas go pending
+    for serial in range(data.draw(st.integers(1, 8), label="events")):
+        if data.draw(st.booleans(), label="anchor update"):
+            session.set_anchors(_draw_anchors(data, session))
+            continue
+        delta = _draw_event(data, pair, False, f"e{serial}")
+        if delta is None:
+            continue
+        session.apply_network_delta(delta)
+        replica.apply_delta(delta)
+    _assert_counts_match_fresh(session, replica, include_words=False)
+    _assert_matches_fresh(session, replica, include_words=False)
 
 
 def test_left_value_new_to_the_left_reorders_and_stays_exact():

@@ -289,3 +289,118 @@ class TestApplyDelta:
         assert np.array_equal(
             apply_delta(None, change).toarray(), change.toarray()
         )
+
+
+def _bottom_up(expr):
+    """Every sub-expression of ``expr``, children before their parent."""
+    children = getattr(expr, "segments", None) or getattr(expr, "branches", ())
+    for child in children:
+        yield from _bottom_up(child)
+    yield expr
+
+
+def _csr_bytes(matrix):
+    return (
+        matrix.shape,
+        matrix.data.tobytes(),
+        matrix.indices.tobytes(),
+        matrix.indptr.tobytes(),
+    )
+
+
+class TestNoAliasing:
+    """The fold never writes into a change that another part still holds.
+
+    A Hadamard term keeps its branch change's sparsity pattern and is
+    pruned and sorted in place, so it must not share that change's index
+    arrays: the change is memoized, seeded into the engine, and (for a
+    leaf branch) is the caller's own delta.
+    """
+
+    def test_churn_event_leaves_every_change_untouched(self):
+        from repro.datasets import foursquare_twitter_like
+        from repro.meta.context import build_matrix_bag
+        from repro.meta.diagrams import standard_diagram_family
+        from repro.networks.aligned import NetworkDelta
+
+        pair = foursquare_twitter_like("tiny", seed=11)
+        anchors = sorted(pair.anchors, key=repr)[:5]
+        old_bag = build_matrix_bag(pair, known_anchors=anchors)
+        users = pair.left_users()
+        timestamp = pair.left.attribute_values("timestamp")[0]
+        unfollowed = next(iter(pair.left.edges("follow")))
+        unwritten = next(iter(pair.left.edges("write")))
+        # One event that grows (a user and a post) and removes (edges).
+        pair.apply_delta(
+            NetworkDelta.build(
+                "left",
+                added_nodes={"user": ["new:u"], "post": ["new:p"]},
+                added_edges=[
+                    ("follow", "new:u", users[0]),
+                    ("follow", users[1], "new:u"),
+                    ("write", "new:u", "new:p"),
+                ],
+                updated_attributes=[("timestamp", "new:p", timestamp)],
+                removed_edges=[
+                    ("follow", *unfollowed),
+                    ("write", *unwritten),
+                ],
+            )
+        )
+        new_bag = build_matrix_bag(pair, known_anchors=anchors)
+        deltas = {}
+        for name, new in new_bag.items():
+            change = (new - pad_csr(old_bag[name], new.shape)).tocsr()
+            change.eliminate_zeros()
+            if change.nnz:
+                deltas[name] = change
+        assert {"F1", "W1"} <= set(deltas)
+        assert any((change.data < 0).any() for change in deltas.values())
+        leaf_bytes = {name: _csr_bytes(delta) for name, delta in deltas.items()}
+
+        exprs = standard_diagram_family().exprs
+        engine = CountingEngine(old_bag)
+        old = CountingEngine(old_bag)
+        before = [engine.evaluate(expr) for expr in exprs]
+        evaluator = DeltaEvaluator(
+            engine,
+            deltas,
+            shapes={name: matrix.shape for name, matrix in new_bag.items()},
+        )
+        # Children first, each change snapshotted as it is memoized, so
+        # a parent's evaluation writing into a child's change shows.
+        produced = {}
+        for expr in exprs:
+            for sub in _bottom_up(expr):
+                if sub.key() not in produced:
+                    change = evaluator.evaluate(sub)
+                    produced[sub.key()] = (change, _csr_bytes(change))
+        changes = [evaluator.evaluate(expr) for expr in exprs]
+        updated = evaluator.updated_changes()
+        for expr, change in updated:
+            assert produced[expr.key()][0] is change
+            assert engine.seed_change(expr, change)
+        engine.update_matrices(
+            new_bag, preserve=[expr.key() for expr, _ in updated]
+        )
+
+        applied = [
+            apply_delta(pad_csr(counts, change.shape), change)
+            for counts, change in zip(before, changes)
+        ]
+        folded = [engine.evaluate(expr) for expr in exprs]
+        for name, change in deltas.items():
+            assert _csr_bytes(change) == leaf_bytes[name]
+        for key, (change, snapshot) in produced.items():
+            assert _csr_bytes(change) == snapshot, key
+
+        fresh = CountingEngine(new_bag)
+        for expr, after, value in zip(exprs, applied, folded):
+            expected = fresh.evaluate(expr).toarray()
+            assert np.array_equal(after.toarray(), expected)
+            assert np.array_equal(value.toarray(), expected)
+        for expr, change in updated:
+            exact = fresh.evaluate(expr) - pad_csr(
+                old.evaluate(expr), change.shape
+            )
+            assert np.array_equal(change.toarray(), exact.toarray())

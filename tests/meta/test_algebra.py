@@ -5,7 +5,14 @@ import pytest
 from scipy import sparse
 
 from repro.exceptions import MetaStructureError
-from repro.meta.algebra import Chain, CountingEngine, Leaf, Parallel, _key_mentions
+from repro.meta.algebra import (
+    Chain,
+    CountingEngine,
+    Leaf,
+    Parallel,
+    _key_mentions,
+    pad_csr,
+)
 
 
 def _csr(array) -> sparse.csr_matrix:
@@ -184,3 +191,123 @@ class TestDependencyTracking:
         engine.update_matrix("A", bag["C"])
         assert engine.dependents("A") == ()
         assert "(B@C)" in engine.dependents("B")
+
+
+def _assert_same_csr(actual, expected):
+    """Equal shape and the same stored arrays (canonical bytes)."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.indptr, expected.indptr)
+    assert np.array_equal(actual.indices, expected.indices)
+    assert np.array_equal(actual.data, expected.data)
+
+
+class TestSeedChange:
+    """Seeded changes stay one pending sum per key until a fold."""
+
+    def test_uncached_expression_is_not_seeded(self, bag):
+        engine = CountingEngine(bag)
+        expr = Chain([Leaf("A"), Leaf("B")])
+        assert not engine.seed_change(expr, _csr([[1, 0], [0, 0]]))
+        assert engine.components(expr) is None
+
+    def test_components_hold_at_most_one_change(self, bag):
+        engine = CountingEngine(bag)
+        expr = Chain([Leaf("A"), Leaf("B")])
+        base = engine.evaluate(expr)
+        cached, pending = engine.components(expr)
+        assert cached is base and pending is None
+        changes = [
+            _csr([[1, 0], [0, 0]]),
+            _csr([[0, 0], [0, -3]]),
+            _csr([[2, 1], [0, 0]]),
+        ]
+        for change in changes:
+            assert engine.seed_change(expr, change)
+            cached, pending = engine.components(expr)
+            assert cached is base
+            assert sparse.isspmatrix_csr(pending)
+        total = sum(change.toarray() for change in changes)
+        assert np.array_equal(pending.toarray(), total)
+        assert np.array_equal(
+            engine.evaluate(expr).toarray(), base.toarray() + total
+        )
+        assert engine.components(expr)[1] is None
+
+    def test_changes_seeded_at_growing_shapes(self, bag):
+        engine = CountingEngine(bag)
+        expr = Chain([Leaf("A"), Leaf("R")])  # 2 x 3
+        base = engine.evaluate(expr).toarray()
+        first = np.zeros((3, 3))
+        first[2, 0], first[0, 1] = 1.0, -1.0
+        second = np.zeros((4, 5))
+        second[3, 4], second[2, 0] = 2.0, 1.0
+        assert engine.seed_change(expr, _csr(first))
+        assert engine.seed_change(expr, _csr(second))
+        cached, pending = engine.components(expr)
+        assert cached.shape == (2, 3) and pending.shape == (4, 5)
+        expected = second.copy()
+        expected[:3, :3] += first
+        expected[:2, :3] += base
+        folded = engine.evaluate(expr)
+        assert folded.shape == (4, 5)
+        assert np.array_equal(folded.toarray(), expected)
+        assert folded.has_sorted_indices and np.all(folded.data != 0)
+
+    def test_cancelling_seeds_keep_the_growth(self, bag):
+        engine = CountingEngine(bag)
+        expr = Chain([Leaf("A"), Leaf("B")])
+        base = engine.evaluate(expr).toarray()
+        change = np.zeros((3, 4))
+        change[2, 3], change[0, 0] = 1.0, 5.0
+        assert engine.seed_change(expr, _csr(change))
+        assert engine.seed_change(expr, _csr(-change))
+        _, pending = engine.components(expr)
+        assert pending.nnz == 0 and pending.shape == (3, 4)
+        folded = engine.evaluate(expr)
+        expected = np.zeros((3, 4))
+        expected[:2, :2] = base
+        assert folded.shape == (3, 4)
+        assert np.array_equal(folded.toarray(), expected)
+        assert folded.nnz == np.count_nonzero(expected)
+
+    def test_evaluate_after_seeds_matches_a_fresh_engine(self):
+        """Seed each step's exact change over growing matrices, fold
+        once: the bytes a fresh engine computes over the last ones."""
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3), (4, 3), (6, 3), (6, 5), (7, 6)]
+
+        def grown(previous, shape):
+            values = (rng.random(shape) < 0.3).astype(np.float64)
+            if previous is not None:
+                kept = previous.toarray()
+                values[: kept.shape[0], : kept.shape[1]] = kept
+                flips = rng.random(kept.shape) < 0.15
+                values[: kept.shape[0], : kept.shape[1]][flips] = 1.0 - kept[flips]
+            return _csr(values)
+
+        bags, x, y = [], None, None
+        for n, m in shapes:
+            x = grown(x, (n, n))
+            y = grown(y, (n, m))
+            bags.append({"X": x, "Y": y})
+        stacked = Parallel([Leaf("X"), Leaf("X", transpose=True)])
+        expr = Chain([stacked, Leaf("Y")])
+        engine = CountingEngine(bags[0])
+        engine.evaluate(expr)
+        for old, new in zip(bags, bags[1:]):
+            keys = []
+            for sub in (stacked, expr):
+                before = CountingEngine(old).evaluate(sub)
+                after = CountingEngine(new).evaluate(sub)
+                change = (after - pad_csr(before, after.shape)).tocsr()
+                change.eliminate_zeros()
+                assert engine.seed_change(sub, change)
+                keys.append(sub.key())
+            engine.update_matrices(new, preserve=keys)
+            assert sparse.isspmatrix_csr(engine.components(expr)[1])
+        _assert_same_csr(
+            engine.evaluate(expr), CountingEngine(bags[-1]).evaluate(expr)
+        )
+        _assert_same_csr(
+            engine.evaluate(stacked), CountingEngine(bags[-1]).evaluate(stacked)
+        )
