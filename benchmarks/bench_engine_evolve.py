@@ -367,14 +367,12 @@ def test_engine_evolve_compaction_footprint():
         for delta in schedule:
             session.apply_network_delta(delta)
             session.refresh_features(X, candidates)
-            session.flush_store()
             checkpoint.save(session, payload=None)
         before = _tree_bytes(root)
 
         assert session.compact(), "churn must leave tombstones to drop"
         pruned = checkpoint.prune_history()
         checkpoint.save(session, payload=None)
-        session.flush_store()
         after = _tree_bytes(root)
 
         publish(

@@ -13,12 +13,10 @@ Gates the model-backend refactor's three guarantees:
   the SVM path adds only label-budget-sized training gathers on top of
   the block stream, never an |H| x d matrix.  Each mode runs in its own
   spawned process (``ru_maxrss`` is a per-process high-water mark);
-* **checkpoint/resume under processes** — an SVM-backend active loop
-  interrupted mid-fit and resumed from its checkpoint reproduces the
-  uninterrupted run exactly, with block extraction and model scoring
-  fanned across a :class:`~repro.engine.parallel.ProcessExecutor`
-  (backend state — dual coefficients, map statistics — rides the
-  checkpoint).
+* **checkpoint/resume** — an SVM-backend active loop on a store-backed
+  session, interrupted mid-fit and resumed from its checkpoint,
+  reproduces the uninterrupted run exactly (backend state — dual
+  coefficients, map statistics — rides the checkpoint).
 
 Smoke mode (CI exactness gating):
 ``ENGINE_BENCH_SCALE=small ENGINE_BENCH_EXACT_ONLY=1`` runs quickly and
@@ -277,16 +275,12 @@ def test_streamed_svm_rss_within_ridge_envelope():
     )
 
 
-def test_svm_active_checkpoint_resume_under_processes():
-    """Interrupted SVM-backend active loop resumes byte-identically,
-    with extraction and scoring fanned across a ProcessExecutor."""
+def test_svm_active_checkpoint_resume_on_store():
+    """Interrupted SVM-backend active loop on a store-backed session
+    resumes byte-identically."""
     from repro.active.oracle import LabelOracle
     from repro.core.activeiter import ActiveIter
-    from repro.engine import (
-        AlignmentSession,
-        ProcessExecutor,
-        StreamedAlignmentTask,
-    )
+    from repro.engine import AlignmentSession, StreamedAlignmentTask
     from repro.exceptions import CheckpointInterrupt
     from repro.meta.diagrams import standard_diagram_family
 
@@ -294,13 +288,11 @@ def test_svm_active_checkpoint_resume_under_processes():
     split, positives = _build_split(pair)
 
     def build(store_dir, checkpoint=None):
-        executor = ProcessExecutor(2)
         session = AlignmentSession(
             pair,
             family=standard_diagram_family(),
             known_anchors=split.train_positive_pairs,
             store=store_dir,
-            workers=executor,
         )
         task = StreamedAlignmentTask.from_pairs(
             session,
@@ -318,37 +310,26 @@ def test_svm_active_checkpoint_resume_under_processes():
             backend="svm",
             positive_threshold=0.0,
         )
-        return model, task, session, executor
+        return model, task, session
 
     with tempfile.TemporaryDirectory() as reference_dir:
-        reference, task, session, executor = build(reference_dir)
-        try:
-            with session:
-                reference.fit(task)
-        finally:
-            executor.close()
+        reference, task, session = build(reference_dir)
+        with session:
+            reference.fit(task)
 
     with tempfile.TemporaryDirectory() as store_dir:
-        interrupted, task, session, executor = build(
+        interrupted, task, session = build(
             store_dir, SessionCheckpoint(store_dir, interrupt_after=2)
         )
-        try:
-            with session:
-                try:
-                    interrupted.fit(task)
-                    raise AssertionError("interrupt_after must fire mid-loop")
-                except CheckpointInterrupt:
-                    pass
-        finally:
-            executor.close()
-        resumed, task, session, executor = build(
-            store_dir, SessionCheckpoint(store_dir)
-        )
-        try:
-            with session:
-                resumed.fit(task)
-        finally:
-            executor.close()
+        with session:
+            try:
+                interrupted.fit(task)
+                raise AssertionError("interrupt_after must fire mid-loop")
+            except CheckpointInterrupt:
+                pass
+        resumed, task, session = build(store_dir, SessionCheckpoint(store_dir))
+        with session:
+            resumed.fit(task)
 
     identical = (
         resumed.queried_ == reference.queried_
@@ -360,7 +341,7 @@ def test_svm_active_checkpoint_resume_under_processes():
         "\n".join(
             [
                 (
-                    "SVM-backend checkpoint/resume under ProcessExecutor "
+                    "SVM-backend checkpoint/resume on a store-backed session "
                     f"({PARITY_SCALE}, interrupted after 2 rounds, "
                     f"budget={BUDGET})"
                 ),

@@ -1,15 +1,12 @@
 """Engine benchmark: the disk-backed store vs the in-memory engine.
 
-Races three execution modes over an identical large-scale workload — a
+Races two execution modes over an identical large-scale workload — a
 streamed active fit with feature refresh followed by a streamed
 prediction sweep over the support-pruned candidate space:
 
 * ``memory`` — the in-memory baseline (serial executor, no store);
 * ``store`` — count matrices and memoized products spilled to a
-  ``store_dir`` arena and served as memory maps;
-* ``store-process`` — the same arena shared with a two-worker
-  :class:`~repro.engine.parallel.ProcessExecutor`; block extraction and
-  scoring cross process boundaries as picklable descriptors.
+  ``store_dir`` arena and served as memory maps.
 
 Each mode runs in its **own spawned process** because peak RSS
 (``ru_maxrss``) is a per-process high-water mark — measuring two modes
@@ -18,7 +15,7 @@ in one process would let the first contaminate the second.
 Assertions:
 
 * **exactness** — always: queried links, labels, weights and streamed
-  predictions must be byte-identical across all three modes;
+  predictions must be byte-identical across both modes;
 * **peak RSS** — at ``large`` scale outside smoke mode: the store run
   must peak strictly below the in-memory run (that is the subsystem's
   reason to exist);
@@ -72,7 +69,6 @@ def _scenario(mode: str, store_dir: str, connection) -> None:
     from repro.engine import (
         AlignmentSession,
         CandidateGenerator,
-        ProcessExecutor,
         StreamedAlignmentTask,
         linear_scorer,
         streamed_selection,
@@ -82,13 +78,9 @@ def _scenario(mode: str, store_dir: str, connection) -> None:
     pair = foursquare_twitter_like(SCALE, seed=7)
     split, positives = _build_split(pair)
     store = store_dir if mode != "memory" else None
-    workers = ProcessExecutor(2) if mode == "store-process" else None
     try:
         with AlignmentSession(
-            pair,
-            known_anchors=split.train_positive_pairs,
-            store=store,
-            workers=workers,
+            pair, known_anchors=split.train_positive_pairs, store=store
         ) as session:
             task = StreamedAlignmentTask.from_pairs(
                 session,
@@ -133,8 +125,6 @@ def _scenario(mode: str, store_dir: str, connection) -> None:
             }
         )
     finally:
-        if workers is not None:
-            workers.close()
         connection.close()
 
 
@@ -153,15 +143,11 @@ def _run_scenario(mode: str, store_dir: str) -> dict:
 
 def test_engine_store_exactness_and_rss():
     results = {}
-    for mode in ("memory", "store", "store-process"):
+    for mode in ("memory", "store"):
         with tempfile.TemporaryDirectory() as store_dir:
             results[mode] = _run_scenario(mode, store_dir)
 
-    memory, store, process = (
-        results["memory"],
-        results["store"],
-        results["store-process"],
-    )
+    memory, store = results["memory"], results["store"]
     lines = [
         (
             f"Disk-backed store benchmark ({SCALE}, NP-ratio={NP_RATIO}, "
@@ -179,17 +165,11 @@ def test_engine_store_exactness_and_rss():
             "store/memory RSS ratio: "
             f"{store['peak_rss_bytes'] / memory['peak_rss_bytes']:.2f}"
         )
-    lines.append(
-        "digests identical: "
-        f"{memory['digest'] == store['digest'] == process['digest']}"
-    )
+    lines.append(f"digests identical: {memory['digest'] == store['digest']}")
     publish("engine_store", "\n".join(lines))
 
     assert memory["digest"] == store["digest"], (
         "store-backed run must be byte-identical to the in-memory run"
-    )
-    assert memory["digest"] == process["digest"], (
-        "process-executor run must be byte-identical to the in-memory run"
     )
     assert memory["n_queried"] > 0, "workload must actually spend budget"
 

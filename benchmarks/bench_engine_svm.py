@@ -16,10 +16,9 @@ Gates the shrinking/streaming solver's three guarantees:
   make the shrunk streamed fit at least ``3x`` faster per epoch than
   the unshrunk streamed fit at ``large`` scale, and the resident row
   cache at convergence must hold under 20% of |H|;
-* **checkpoint/resume** — a PU-mode active loop interrupted mid-fit
-  and resumed from its checkpoint reproduces the uninterrupted run
-  byte-identically, with extraction and scoring fanned across a
-  :class:`~repro.engine.parallel.ProcessExecutor` (the checkpoint
+* **checkpoint/resume** — a PU-mode active loop on a store-backed
+  session, interrupted mid-fit and resumed from its checkpoint,
+  reproduces the uninterrupted run byte-identically (the checkpoint
   carries the backend's mode and shrink state).
 
 Smoke mode (CI exactness gating):
@@ -273,16 +272,12 @@ def test_pu_working_set_epoch_speedup():
     )
 
 
-def test_pu_checkpoint_resume_under_processes():
-    """Interrupted PU-mode active loop resumes byte-identically, with
-    extraction and scoring fanned across a ProcessExecutor."""
+def test_pu_checkpoint_resume_on_store():
+    """Interrupted PU-mode active loop on a store-backed session resumes
+    byte-identically."""
     from repro.active.oracle import LabelOracle
     from repro.core.activeiter import ActiveIter
-    from repro.engine import (
-        AlignmentSession,
-        ProcessExecutor,
-        StreamedAlignmentTask,
-    )
+    from repro.engine import AlignmentSession, StreamedAlignmentTask
     from repro.eval.protocol import ProtocolConfig, build_splits
     from repro.exceptions import CheckpointInterrupt
     from repro.meta.diagrams import standard_diagram_family
@@ -300,13 +295,11 @@ def test_pu_checkpoint_resume_under_processes():
     }
 
     def build(store_dir, checkpoint=None):
-        executor = ProcessExecutor(2)
         session = AlignmentSession(
             pair,
             family=standard_diagram_family(),
             known_anchors=split.train_positive_pairs,
             store=store_dir,
-            workers=executor,
         )
         task = StreamedAlignmentTask.from_pairs(
             session,
@@ -324,37 +317,26 @@ def test_pu_checkpoint_resume_under_processes():
             backend=make_backend("svm-pu", unlabeled_C=0.1, seed=SEED),
             positive_threshold=0.0,
         )
-        return model, task, session, executor
+        return model, task, session
 
     with tempfile.TemporaryDirectory() as reference_dir:
-        reference, task, session, executor = build(reference_dir)
-        try:
-            with session:
-                reference.fit(task)
-        finally:
-            executor.close()
+        reference, task, session = build(reference_dir)
+        with session:
+            reference.fit(task)
 
     with tempfile.TemporaryDirectory() as store_dir:
-        interrupted, task, session, executor = build(
+        interrupted, task, session = build(
             store_dir, SessionCheckpoint(store_dir, interrupt_after=2)
         )
-        try:
-            with session:
-                try:
-                    interrupted.fit(task)
-                    raise AssertionError("interrupt_after must fire mid-loop")
-                except CheckpointInterrupt:
-                    pass
-        finally:
-            executor.close()
-        resumed, task, session, executor = build(
-            store_dir, SessionCheckpoint(store_dir)
-        )
-        try:
-            with session:
-                resumed.fit(task)
-        finally:
-            executor.close()
+        with session:
+            try:
+                interrupted.fit(task)
+                raise AssertionError("interrupt_after must fire mid-loop")
+            except CheckpointInterrupt:
+                pass
+        resumed, task, session = build(store_dir, SessionCheckpoint(store_dir))
+        with session:
+            resumed.fit(task)
 
     identical = (
         resumed.queried_ == reference.queried_
@@ -366,7 +348,7 @@ def test_pu_checkpoint_resume_under_processes():
         "\n".join(
             [
                 (
-                    "PU-mode checkpoint/resume under ProcessExecutor "
+                    "PU-mode checkpoint/resume on a store-backed session "
                     f"({PARITY_SCALE}, interrupted after 2 rounds, "
                     "budget=20)"
                 ),

@@ -20,8 +20,7 @@ Public API tour:
 * :mod:`repro.store` — disk-backed state: the memory-mapped
   :class:`~repro.store.arena.MatrixArena`, atomic
   :class:`~repro.store.checkpoint.SessionCheckpoint` snapshots with a
-  byte-identical resume path, and the picklable work units of the
-  process executor.
+  byte-identical resume path.
 * :mod:`repro.eval` — the paper's full experimental protocol and the
   harnesses behind every table and figure.
 """

@@ -23,7 +23,6 @@ Usage::
                                   [--workers 4] [--streamed]
                                   [--model {ridge,svm,svm-pu}] [--feature-map MAP]
                                   [--store-dir DIR]
-                                  [--executor {serial,thread,process}]
     python -m repro.cli engine checkpoint --store-dir DIR
                                   [--interrupt-after 3]
     python -m repro.cli engine resume --store-dir DIR
@@ -39,8 +38,8 @@ paper's ridge, a streamed supervised SVM, or ``svm-pu`` — the biased
 positive-unlabeled SVM training on all of H through the working-set
 streamed solver, ``--unlabeled-c`` setting the soft-negative cost) and
 ``--feature-map`` composes a kernel feature map (``nystroem``,
-``fourier``, ``poly``) — both ride the streamed/parallel/process
-stack; see :mod:`repro.ml.backends`.
+``fourier``, ``poly``) — both ride the streamed/parallel stack; see
+:mod:`repro.ml.backends`.
 ``evolve --sweep`` re-evaluates the full method lineup (streamed SVM
 included) at every scheduled network delta.  ``evolve --churn``
 switches to the adversarial grow/shrink schedule (node and edge
@@ -550,7 +549,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
     )
 
     try:
-        spans = load_spans(args.trace_file, include_workers=not args.no_workers)
+        spans = load_spans(args.trace_file)
     except FileNotFoundError as missing:
         raise SystemExit(str(missing))
     if args.action == "tree":
@@ -565,7 +564,7 @@ def cmd_engine(args: argparse.Namespace) -> str:
     raises :class:`~repro.exceptions.ExperimentError` (report attached)
     when any of them is not byte-identical, so a CI step fails on it.
     """
-    from repro.engine import AlignmentSession, CandidateGenerator, make_executor
+    from repro.engine import AlignmentSession, CandidateGenerator
     from repro.eval.timing import (
         FIT_BLOCK,
         Race,
@@ -595,37 +594,36 @@ def cmd_engine(args: argparse.Namespace) -> str:
             fit(refresh=True),
         )
     ]
-    # The context managers guarantee the pool (and arena handles) are
+    # The context manager guarantees the pool (and arena handles) are
     # released even when a diagnostic below raises.
-    with make_executor(args.executor, args.workers) as executor:
-        with AlignmentSession(
-            pair,
-            known_anchors=pair.anchors,
-            workers=executor,
-            store=args.store_dir,
-        ) as session:
-            generator = CandidateGenerator.from_support(session)
-            pruned = generator.count()
-            full_space = pair.candidate_space_size()
-            lines = [
-                races[0].render(),
-                "",
-                "Candidate streaming (support pruning, all anchors known):",
-                (
-                    f"  |U1|x|U2| = {full_space}  ->  {pruned} supported "
-                    f"pairs ({pruned / max(1, full_space):.1%} of the cross "
-                    "product)"
-                ),
-                (
-                    f"  session stats: workers={session.workers} "
-                    f"executor={session.executor.kind} "
-                    f"{session.stats.summary()}"
-                ),
-                "",
-                "Metrics registry (session + executor):",
-                format_metrics_snapshot(session.metrics_snapshot()),
-            ]
-    if args.workers > 1 and args.executor == "thread":
+    with AlignmentSession(
+        pair,
+        known_anchors=pair.anchors,
+        workers=args.workers,
+        store=args.store_dir,
+    ) as session:
+        generator = CandidateGenerator.from_support(session)
+        pruned = generator.count()
+        full_space = pair.candidate_space_size()
+        lines = [
+            races[0].render(),
+            "",
+            "Candidate streaming (support pruning, all anchors known):",
+            (
+                f"  |U1|x|U2| = {full_space}  ->  {pruned} supported "
+                f"pairs ({pruned / max(1, full_space):.1%} of the cross "
+                "product)"
+            ),
+            (
+                f"  session stats: workers={session.workers} "
+                f"executor={session.executor.kind} "
+                f"{session.stats.summary()}"
+            ),
+            "",
+            "Metrics registry (session):",
+            format_metrics_snapshot(session.metrics_snapshot()),
+        ]
+    if args.workers > 1:
         rounds = anchor_rounds(pair, args.np_ratio, seed=args.seed)
         races.append(
             Race.between(
@@ -639,15 +637,13 @@ def cmd_engine(args: argparse.Namespace) -> str:
     if args.store_dir is not None:
         rounds = anchor_rounds(pair, args.np_ratio, rounds=4, seed=args.seed)
         memory = run_anchor_rounds(rounds)
-        with make_executor(args.executor, args.workers) as executor:
-            store = run_anchor_rounds(
-                rounds, workers=executor, store=args.store_dir
-            )
+        store = run_anchor_rounds(
+            rounds, workers=args.workers, store=args.store_dir
+        )
         races.append(
             Race.between(
                 "Disk-backed matrix store vs in-memory baseline "
-                f"(executor={args.executor}, workers={args.workers}, "
-                f"{len(rounds.arrivals)} anchor rounds)",
+                f"(workers={args.workers}, {len(rounds.arrivals)} anchor rounds)",
                 ("in-memory", "store"),
                 memory,
                 store,
@@ -817,13 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="executor parallelism; > 1 adds an executor-vs-serial race",
-    )
-    engine.add_argument(
-        "--executor",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="execution backend used when --workers > 1",
+        help="thread-pool size; > 1 adds a threaded-vs-serial race",
     )
     engine.add_argument(
         "--store-dir",
@@ -870,11 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-id",
         default=None,
         help="tree only: restrict the rendering to one trace id",
-    )
-    trace.add_argument(
-        "--no-workers",
-        action="store_true",
-        help="skip trace-worker-*.jsonl siblings from process-pool workers",
     )
 
     return parser
@@ -974,7 +959,7 @@ def main(argv: Sequence[str] = None) -> int:
     root = _setup_observability(args)
     if root is not None:
         # One root span per invocation: every span the command emits
-        # (this process and its process-pool workers) shares its trace id.
+        # shares its trace id.
         with root:
             output = _COMMANDS[args.command](args)
     else:

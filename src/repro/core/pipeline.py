@@ -82,14 +82,12 @@ class AlignmentPipeline:
         Disk-backed matrix store (a directory path or a shared
         :class:`~repro.store.arena.MatrixArena`) forwarded to the
         session: count matrices spill to disk and are served as memory
-        maps, and :meth:`stream_predict` can fan block scoring across a
-        :class:`~repro.engine.parallel.ProcessExecutor`.  Ignored when
-        an existing ``session`` is supplied.
+        maps.  Ignored when an existing ``session`` is supplied.
 
     Notes
     -----
     The pipeline is a context manager; :meth:`close` (idempotent)
-    releases the session it created — its thread/process pool and its
+    releases the session it created — its thread pool and its
     arena handles — so ``with AlignmentPipeline(...) as pipeline:``
     never leaks pools, even on exceptions.
     """

@@ -11,8 +11,7 @@ constraint and no PU iteration — that is the point of the comparison.
 one-block stream, and a
 :class:`~repro.engine.streaming.StreamedAlignmentTask` runs the very
 same code over blocks — training gathers only the labeled rows, scoring
-streams every block (through the process pool when the session is
-store-backed), and the |H| x d matrix never exists.  The streamed fit
+streams every block, and the |H| x d matrix never exists.  The streamed fit
 is byte-identical to the materialized one given the seed: the gathered
 training rows, the dual-coordinate-descent updates and the per-row
 scoring arithmetic are all identical.  ``feature_map=`` composes a

@@ -9,14 +9,14 @@ blocks instead of materializing the |U1| x |U2| cross product;
 :mod:`repro.engine.streaming` carries whole fit problems in block form
 (no |H| x d feature matrix); :mod:`repro.engine.parallel` provides
 the executor abstraction that fans per-structure and per-block work out
-across threads — or, with a store-backed session
-(:mod:`repro.store`), across processes — with byte-identical results;
+across threads with byte-identical results;
 and :mod:`repro.engine.evolution` scripts deterministic network-growth
 schedules for the evolving-network workload served by
 ``AlignmentSession.apply_network_delta``.
 """
 
 from repro.engine.candidates import (
+    BlockDescriptor,
     CandidateGenerator,
     linear_scorer,
     streamed_selection,
@@ -35,11 +35,9 @@ from repro.engine.incremental import (
 )
 from repro.engine.parallel import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     get_executor,
-    make_executor,
 )
 from repro.engine.session import AlignmentSession, SessionStats
 from repro.engine.streaming import (
@@ -53,10 +51,10 @@ from repro.engine.streaming import (
 __all__ = [
     "AUTO_BLOCK_SIZE",
     "AlignmentSession",
+    "BlockDescriptor",
     "CandidateGenerator",
     "DeltaEvaluator",
     "Executor",
-    "ProcessExecutor",
     "SerialExecutor",
     "SessionStats",
     "StreamedAlignmentTask",
@@ -67,7 +65,6 @@ __all__ = [
     "get_executor",
     "leaf_occurrences",
     "linear_scorer",
-    "make_executor",
     "pad_csr",
     "replay_schedule",
     "resolve_block_size",

@@ -3,9 +3,8 @@
 The full candidate space H is the cross product |U1| x |U2| — millions
 of pairs already at modest network sizes, far too many to materialize
 as a Python list of tuples.  :class:`CandidateGenerator` streams H as
-*position blocks* — :class:`~repro.store.procwork.BlockDescriptor`
-slot arrays, the ``(source ids, destination ids)`` edge form — and
-prunes it two ways:
+*position blocks* — :class:`BlockDescriptor` slot arrays, the
+``(source ids, destination ids)`` edge form — and prunes it two ways:
 
 * **degree pruning** — users whose follow degrees differ by more than a
   ratio are unlikely counterparts (degree is roughly preserved across
@@ -33,23 +32,35 @@ names the whole stream for consumers that need tuples.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.engine.parallel import (
-    SerialExecutor,
-    WorkersSpec,
-    _picklable,
-    get_executor,
-)
+from repro.engine.parallel import WorkersSpec, get_executor
 from repro.exceptions import AlignmentError, ConstraintViolationError
 from repro.matching.greedy import greedy_walk
 from repro.networks.aligned import AlignedPair
 from repro.networks.schema import FOLLOW
-from repro.store.procwork import ArenaLinearScorer, BlockDescriptor
 from repro.types import LinkPair, NodeId
+
+
+@dataclass(frozen=True)
+class BlockDescriptor:
+    """One candidate block as slot positions.
+
+    ``offset`` is the block's first candidate index in its stream;
+    ``left_indices[k]``/``right_indices[k]`` are candidate ``k``'s
+    matrix row and column.
+    """
+
+    offset: int
+    left_indices: np.ndarray
+    right_indices: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.left_indices.shape[0])
 
 
 def _follow_degrees(network) -> np.ndarray:
@@ -345,9 +356,9 @@ class CandidateGenerator:
         """Yield the candidates as position blocks of ``block_size`` (the
         last may be shorter), in row-major order.
 
-        Each :class:`~repro.store.procwork.BlockDescriptor` carries its
-        stream offset and its candidates' slot positions — matrix
-        coordinates, ready for :meth:`AlignmentSession.gather
+        Each :class:`BlockDescriptor` carries its stream offset and its
+        candidates' slot positions — matrix coordinates, ready for
+        :meth:`AlignmentSession.gather
         <repro.engine.session.AlignmentSession.gather>`; :meth:`pairs_at`
         names them.  Positions hold only while the pair keeps the slots
         the generator last saw, so once users are added, removed or
@@ -406,36 +417,20 @@ def _slots_of(
 def linear_scorer(
     session, weights: np.ndarray
 ) -> Callable[[BlockDescriptor], np.ndarray]:
-    """Score function ``block -> X_block @ w`` over the session's features.
-
-    When the session's executor crosses processes and the session has
-    an arena, this is a picklable :class:`ArenaLinearScorer` over the
-    flushed store, so pool workers score blocks against the shared
-    arena.  Otherwise it is a closure over the session's position
-    gather (:meth:`AlignmentSession.gather
-    <repro.engine.session.AlignmentSession.gather>`).  The two score
-    byte-identically.
-    """
+    """Score function ``block -> X_block @ w`` over the session's features:
+    a closure over the session's position gather
+    (:meth:`AlignmentSession.gather
+    <repro.engine.session.AlignmentSession.gather>`)."""
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.shape[0] != session.n_features:
         raise AlignmentError(
             f"{weights.shape[0]} weights for {session.n_features} features"
         )
-    if session.executor.crosses_processes and session.arena is not None:
-        return ArenaLinearScorer(spec=session.flush_store(), weights=weights)
 
     def score(block: BlockDescriptor) -> np.ndarray:
         return session.gather(block.left_indices, block.right_indices) @ weights
 
     return score
-
-
-def _score_block_unit(
-    item: Tuple[Callable[[BlockDescriptor], np.ndarray], BlockDescriptor],
-) -> Tuple[BlockDescriptor, np.ndarray]:
-    """Score one block — module-level so process pools can pickle it."""
-    score_fn, block = item
-    return block, np.asarray(score_fn(block), dtype=np.float64).ravel()
 
 
 def streamed_selection(
@@ -463,27 +458,19 @@ def streamed_selection(
     With ``workers`` (an integer or a shared
     :class:`~repro.engine.parallel.Executor`) blocks are scored across
     a thread pool; survivors are still merged in stream order, so the
-    selection is byte-identical to a serial sweep.  A process executor
-    fans blocks across workers when ``score_fn`` is picklable — e.g. an
-    :class:`~repro.store.procwork.ArenaLinearScorer` resolving features
-    against a shared arena — and degrades to a serial sweep otherwise
-    (a closure over live session state cannot cross the process
-    boundary), counting it as ``fallback.serial_sweep`` in that
-    executor's registry.  An empty candidate space yields an empty
-    selection, never an error.
+    selection is byte-identical to a serial sweep.  An empty candidate
+    space yields an empty selection, never an error.
     """
     executor = get_executor(workers)
-    if executor.crosses_processes and not _picklable(score_fn):
-        executor.registry.counter("fallback.serial_sweep").inc()
-        executor = SerialExecutor()
+
+    def score(block: BlockDescriptor) -> Tuple[BlockDescriptor, np.ndarray]:
+        return block, np.asarray(score_fn(block), dtype=np.float64).ravel()
 
     # Survivors, per block: left slots, right slots, scores.
     survivors: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # Streaming imap, not map: blocks flow into the executor's bounded
     # in-flight window as the generator produces them.
-    scored = executor.imap(
-        _score_block_unit, ((score_fn, block) for block in generator.blocks())
-    )
+    scored = executor.imap(score, generator.blocks())
     for block, scores in scored:
         if scores.shape[0] != len(block):
             raise AlignmentError(

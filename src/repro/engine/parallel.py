@@ -1,4 +1,4 @@
-"""The engine's execution layer: serial, thread and process executors.
+"""The engine's execution layer: serial and thread executors.
 
 Heavy engine work decomposes into *independent* units whose results are
 merged in a fixed order — the 28 anchor-dependent delta expressions of
@@ -8,27 +8,16 @@ numpy's searchsorted/ufuncs release the GIL, so a plain thread pool
 parallelizes them without any serialization cost.
 
 :class:`Executor` is the small abstraction the session and the candidate
-stream program against.  Three implementations exist:
+stream program against.  Two implementations exist:
 
 * :class:`SerialExecutor` — runs everything inline (the default, and the
   reference semantics);
 * :class:`ThreadedExecutor` — a ``concurrent.futures.ThreadPoolExecutor``
   wrapper that preserves **input order** in all results, so the merged
-  output of a threaded run is byte-identical to the serial run;
-* :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` wrapper for work
-  whose units cross process boundaries: the function and every item
-  must be **picklable**.  The engine's picklable work units are the
-  arena-backed block descriptors of :mod:`repro.store.procwork` — the
-  matrices themselves are shared through the arena's memory maps, not
-  copied.  A non-picklable callable (a closure over live session state)
-  degrades gracefully to inline execution, so a session handed a
-  process executor still works everywhere — only the curated
-  descriptor paths actually fan across processes.  Each such
-  degradation is counted in the executor's own :attr:`registry`
-  (``fallback.inline_map``).
+  output of a threaded run is byte-identical to the serial run.
 
-The :attr:`Executor.crosses_processes` flag is the seam dispatchers use
-to choose the descriptor-based work units over closures.
+The engine runs on one host: every work unit is a closure over live
+session state, shared by the pool's threads without copying.
 
 Determinism contract: both :meth:`Executor.map` and
 :meth:`Executor.imap` return results in the order of their inputs, never
@@ -45,31 +34,20 @@ deadlocking the bounded pool.
 :meth:`Executor.close` is **idempotent** on every implementation, and
 executors are context managers — the pipeline, the experiment runner
 and the CLI always release pools through ``with``/``finally`` so an
-exception mid-run never leaks worker threads or processes.
+exception mid-run never leaks worker threads.
 """
 
 from __future__ import annotations
 
 import logging
-import pickle
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
 from repro.exceptions import AlignmentError
-from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
-
-
-def _picklable(obj) -> bool:
-    """Whether ``obj`` survives pickling (the process-pool entry fee)."""
-    try:
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return False
-    return True
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -87,18 +65,12 @@ class Executor:
     workers:
         Parallelism degree; ``1`` means strictly inline execution.
     kind:
-        Short name of the execution backend (``"serial"``, ``"thread"``
-        or ``"process"``) — recorded in experiment runtime metadata.
-    crosses_processes:
-        Whether work units leave this interpreter (pickled to a process
-        pool).  Dispatchers use this to decide between closure-based
-        work and the arena-backed block descriptors of
-        :mod:`repro.store.procwork`.
+        Short name of the execution backend (``"serial"`` or
+        ``"thread"``) — recorded in experiment runtime metadata.
     """
 
     workers: int = 1
     kind: str = "serial"
-    crosses_processes: bool = False
 
     def map(
         self, fn: Callable[[T], R], items: Iterable[T]
@@ -121,7 +93,7 @@ class Executor:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release worker threads/processes, if any (always idempotent)."""
+        """Release worker threads, if any (always idempotent)."""
 
     def __enter__(self) -> "Executor":
         return self
@@ -144,37 +116,6 @@ class SerialExecutor(Executor):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
-
-
-def _windowed_imap(
-    executor: Union["ThreadedExecutor", "ProcessExecutor"],
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    window: Optional[int],
-) -> Iterator[R]:
-    """The pooled executors' ``imap``: ``fn`` over ``items`` on the
-    executor's pool, in input order, with at most ``window`` (default
-    twice the pool size) submitted but unconsumed results in flight."""
-    if window is None:
-        window = 2 * executor.workers
-    if window < 1:
-        raise AlignmentError(f"window must be >= 1, got {window}")
-    pool = executor._ensure_pool()
-
-    def results() -> Iterator[R]:
-        pending = deque()
-        try:
-            for item in items:
-                pending.append(pool.submit(fn, item))
-                if len(pending) >= window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-    return results()
 
 
 class ThreadedExecutor(Executor):
@@ -236,9 +177,32 @@ class ThreadedExecutor(Executor):
         return list(self._ensure_pool().map(self._entered(fn), items))
 
     def imap(self, fn, items, window=None):
+        """``fn`` over ``items`` on the pool, in input order, with at
+        most ``window`` (default twice the pool size) submitted but
+        unconsumed results in flight."""
         if self._inside_worker:
             return (fn(item) for item in items)
-        return _windowed_imap(self, self._entered(fn), items, window)
+        if window is None:
+            window = 2 * self.workers
+        if window < 1:
+            raise AlignmentError(f"window must be >= 1, got {window}")
+        pool = self._ensure_pool()
+        fn = self._entered(fn)
+
+        def results() -> Iterator[R]:
+            pending = deque()
+            try:
+                for item in items:
+                    pending.append(pool.submit(fn, item))
+                    if len(pending) >= window:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            finally:
+                for future in pending:
+                    future.cancel()
+
+        return results()
 
     def close(self) -> None:
         with self._pool_lock:
@@ -248,106 +212,6 @@ class ThreadedExecutor(Executor):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThreadedExecutor(workers={self.workers})"
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution for picklable work units.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; must be >= 2 (use :class:`SerialExecutor` for 1).
-
-    Notes
-    -----
-    The pool is created lazily and torn down by :meth:`close`
-    (idempotent).  Work whose callable does not pickle — the session's
-    internal closures — runs inline, preserving correctness at serial
-    speed; the engine's cross-process fan-outs go through the
-    module-level job functions of :mod:`repro.store.procwork`, whose
-    items are block descriptors resolved against a shared
-    :class:`~repro.store.arena.MatrixArena`.  Result order always
-    follows input order, so a process run is byte-identical to a serial
-    one.
-
-    :attr:`registry` counts the degradations: ``fallback.inline_map``
-    for every ``map``/``imap`` whose callable did not pickle, and
-    ``fallback.serial_sweep`` for every
-    :func:`~repro.engine.candidates.streamed_selection` that swept
-    serially because its scorer did not pickle.  A session merges it
-    into :meth:`~repro.engine.session.AlignmentSession.metrics_snapshot`.
-    """
-
-    kind = "process"
-    crosses_processes = True
-
-    def __init__(self, workers: int) -> None:
-        if workers < 2:
-            raise AlignmentError(
-                f"ProcessExecutor needs >= 2 workers, got {workers}"
-            )
-        self.workers = int(workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self.registry = MetricsRegistry()
-        # Registered up front so a run without fallbacks reports 0s.
-        self.registry.counter("fallback.inline_map")
-        self.registry.counter("fallback.serial_sweep")
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                logger.debug(
-                    "starting process pool (workers=%d)", self.workers
-                )
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
-
-    def _ships(self, fn: Callable) -> bool:
-        """Whether ``fn`` can go to the pool; counts it when it cannot."""
-        if _picklable(fn):
-            return True
-        self.registry.counter("fallback.inline_map").inc()
-        logger.debug("ProcessExecutor: %r does not pickle; running inline", fn)
-        return False
-
-    def map(self, fn, items):
-        if not self._ships(fn):
-            return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
-
-    def imap(self, fn, items, window=None):
-        if not self._ships(fn):
-            return (fn(item) for item in items)
-        return _windowed_imap(self, fn, items, window)
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessExecutor(workers={self.workers})"
-
-
-def make_executor(kind: str, workers: int = 1) -> Executor:
-    """Build an executor from a named backend and a worker count.
-
-    The CLI's ``--executor {serial,thread,process}`` knob resolves
-    through here; ``workers <= 1`` always yields the serial executor
-    for the pooled kinds (a pool of one is just overhead).
-    """
-    if kind not in ("serial", "thread", "process"):
-        raise AlignmentError(
-            f"unknown executor kind {kind!r}; "
-            "choose from serial, thread, process"
-        )
-    if kind == "serial" or workers <= 1:
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadedExecutor(workers)
-    return ProcessExecutor(workers)
 
 
 def get_executor(workers: WorkersSpec) -> Executor:

@@ -77,14 +77,6 @@ from repro.networks.schema import WORD
 from repro.obs.metrics import CounterGroup, MetricsRegistry
 from repro.obs.tracing import get_tracer
 from repro.store.arena import MatrixArena, as_arena
-from repro.store.procwork import (
-    SESSION_META,
-    SESSION_SLOTS,
-    ArenaSpec,
-    col_sums_slot,
-    counts_slot,
-    row_sums_slot,
-)
 from repro.types import LinkPair
 
 logger = logging.getLogger(__name__)
@@ -105,6 +97,12 @@ _LOADABLE_STATE_VERSIONS = (1, 2, 3, 4)
 #: How many delta events the dirty-region log retains; consumers whose
 #: marker fell off the log get a conservative "everything dirty" answer.
 _DELTA_LOG_LIMIT = 64
+
+
+def counts_slot(structure_name: str) -> str:
+    """Arena entry name of one structure's dedicated count-matrix slot."""
+    return f"counts/{structure_name}"
+
 
 class SessionStats(CounterGroup):
     """Counters describing how much work the session avoided.
@@ -320,9 +318,7 @@ class AlignmentSession:
         materialized count matrix (and every memoized counting-engine
         product) is spilled to the store and served back as a memory
         map, so the session's resident set is the pages in flight, not
-        the sum of all matrices.  The store is also the shared-state
-        substrate of the :class:`~repro.engine.parallel.ProcessExecutor`
-        (see :meth:`flush_store`) and the natural home of
+        the sum of all matrices.  The store is also the natural home of
         :class:`~repro.store.checkpoint.SessionCheckpoint` files.
         ``None`` (the default) keeps everything in RAM.
     """
@@ -357,8 +353,6 @@ class AlignmentSession:
             raise FeatureError("view_cache_size must be >= 1")
         self.view_cache_size = int(view_cache_size)
         self.arena, self._owns_arena = as_arena(store)
-        self._store_dirty = self.arena is not None
-        self._store_meta_written = False
         # Every session counter lives in this registry; ``stats`` is
         # the legacy attribute-shaped view over its ``session.*`` slice.
         self.metrics = MetricsRegistry()
@@ -628,21 +622,12 @@ class AlignmentSession:
         )
 
     def metrics_snapshot(self) -> Dict:
-        """The unified registry snapshot: session *and* executor.
-
-        Merges this session's ``session.*`` counters and ``phase.*``
-        histograms with the executor's registry when it has one (the
-        process executor's ``fallback.*`` counters), so one dict shows
-        everything about how the work was produced — the surface
-        behind ``repro.cli engine diagnose`` and
+        """The session registry's snapshot: its ``session.*`` counters
+        and ``phase.*`` histograms — the surface behind ``repro.cli
+        engine diagnose`` and
         :class:`~repro.eval.experiment.RuntimeMetadata.metrics`.
         """
-        snapshot = self.metrics.snapshot()
-        registry = getattr(self.executor, "registry", None)
-        if registry is not None:
-            for kind, values in registry.snapshot().items():
-                snapshot.setdefault(kind, {}).update(values)
-        return snapshot
+        return self.metrics.snapshot()
 
     def set_anchors(self, known_anchors: Iterable[LinkPair]) -> bool:
         """Replace the known anchor set; returns whether anything changed.
@@ -670,7 +655,6 @@ class AlignmentSession:
         # state changes, so a bad anchor leaves the session untouched.
         new_anchor_matrix = self.pair.anchor_matrix(new_set)
         self.stats.anchor_updates += 1
-        self._store_dirty = self.arena is not None
         use_delta = (
             self.incremental and len(added) + len(removed) < len(new_set)
         )
@@ -752,9 +736,9 @@ class AlignmentSession:
 
         The partial-arena GC lives here: a structure invalidated by an
         anchor switch or a network delta also drops its dedicated fold
-        slot and sum vectors from the arena (the counting engine already
-        GCs its own memoized products on ``update_matrices``), so stale
-        entries no longer accumulate until session close.
+        slot from the arena (the counting engine already GCs its own
+        memoized products on ``update_matrices``), so stale entries no
+        longer accumulate until session close.
         """
         with structure.lock:
             structure.counts = None
@@ -763,12 +747,7 @@ class AlignmentSession:
             structure.col_sums = None
             structure.proximity = None
         if self.arena is not None:
-            for slot in (
-                counts_slot(structure.name),
-                row_sums_slot(structure.name),
-                col_sums_slot(structure.name),
-            ):
-                self.arena.drop(slot)
+            self.arena.drop(counts_slot(structure.name))
         with self._state_lock:
             for view in self._views.values():
                 view.values.pop(structure.name, None)
@@ -1105,11 +1084,6 @@ class AlignmentSession:
         if not changed:
             return False
         self.stats.network_updates += 1
-        self._store_dirty = self.arena is not None
-        # The once-written session meta records n_right; a network
-        # mutation can grow it (appended users, grown count columns),
-        # so the next flush must republish meta.
-        self._store_meta_written = False
         counts_shape = (
             self.pair.left.slot_count(self.pair.anchor_node_type),
             self.pair.right.slot_count(self.pair.anchor_node_type),
@@ -1296,8 +1270,6 @@ class AlignmentSession:
         self._evolution_log = []
         self._applied_evolution = 0
         if self.arena is not None:
-            self._store_dirty = True
-            self._store_meta_written = False  # slot count shrank
             self.arena.vacuum()
         self._release_store_pages()
         return True
@@ -1607,67 +1579,6 @@ class AlignmentSession:
         """Directory of the session's matrix store, or ``None``."""
         return self.arena.store_dir if self.arena is not None else None
 
-    def flush_store(self) -> ArenaSpec:
-        """Publish a consistent snapshot of feature state to the arena.
-
-        Folds every pending delta, spills all count matrices plus their
-        row/column sums, and (once) the session metadata worker
-        processes need to serve block descriptors — structure order,
-        bias flag, right-side slot count.  Returns the
-        :class:`~repro.store.procwork.ArenaSpec` stamping the manifest
-        version just published; dispatchers attach it to every work
-        unit so stale workers reload before serving.  A flush with no
-        changes since the last one is a cheap no-op.
-        """
-        if self.arena is None:
-            raise StoreError(
-                "flush_store() needs a session constructed with store="
-            )
-        if self._store_dirty or not self._store_meta_written:
-            slots: Dict[str, str] = {}
-            for structure in self._structures:
-                self._ensure_counts(structure)
-                slot = getattr(structure.counts, "_arena_slot", None)
-                if slot is None or slot not in self.arena:
-                    # Counts live only in RAM (e.g. restored from a
-                    # checkpoint) or their engine slot was invalidated:
-                    # give them a dedicated slot workers can open.
-                    slot = counts_slot(structure.name)
-                    self.arena.put(slot, structure.counts)
-                    structure.counts = self.arena.get(slot)
-                slots[structure.name] = slot
-                self.arena.put_array(
-                    row_sums_slot(structure.name), structure.row_sums
-                )
-                self.arena.put_array(
-                    col_sums_slot(structure.name), structure.col_sums
-                )
-            self.arena.put_object(SESSION_SLOTS, slots)
-            if not self._store_meta_written:
-                self.arena.put_object(
-                    SESSION_META,
-                    {
-                        "structure_names": [
-                            structure.name for structure in self._structures
-                        ],
-                        "include_bias": bool(self.include_bias),
-                        "n_right": self.pair.right.slot_count(
-                            self.pair.anchor_node_type
-                        ),
-                    },
-                )
-                self._store_meta_written = True
-            self._store_dirty = False
-            self._release_store_pages()
-        # With tracing on, the spec carries the dispatching span's
-        # context into worker processes, so same-host workers parent
-        # their job spans on the driver's trace (no-op otherwise).
-        return ArenaSpec(
-            store_dir=str(self.arena.store_dir),
-            version=self.arena.version,
-            trace=get_tracer().current_context(),
-        )
-
     # ------------------------------------------------------------------
     # Checkpointable state
     # ------------------------------------------------------------------
@@ -1815,9 +1726,6 @@ class AlignmentSession:
         # Anything derived from this session before the restore is
         # unverifiable now; downstream caches must rebuild.
         self._record_dirty(everything=True)
-        if self.arena is not None:
-            self._store_dirty = True
-            self._store_meta_written = False  # restored pair may differ
 
     # ------------------------------------------------------------------
     # Lifecycle

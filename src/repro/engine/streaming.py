@@ -47,15 +47,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.active.strategies import ScoredBlock
-from repro.engine.candidates import CandidateGenerator
+from repro.engine.candidates import BlockDescriptor, CandidateGenerator
 from repro.engine.session import AlignmentSession
 from repro.exceptions import ModelError
 from repro.ml.backends import LinearModelState, apply_model_state, gather_rows
-from repro.store.procwork import (
-    BlockDescriptor,
-    extract_block_job,
-    model_score_block_job,
-)
 from repro.types import LinkPair
 
 logger = logging.getLogger(__name__)
@@ -267,7 +262,7 @@ class StreamedAlignmentTask:
     # Block passes
     # ------------------------------------------------------------------
     def _block_descriptors(self) -> List[BlockDescriptor]:
-        """Picklable index-form descriptors of the blocks (cached)."""
+        """Index-form descriptors of the blocks (cached)."""
         if self._descriptors is None:
             self._descriptors = []
             for offset, block in zip(self.offsets, self.blocks):
@@ -316,34 +311,16 @@ class StreamedAlignmentTask:
         Extraction fans out across the session's executor with a
         bounded in-flight window; results arrive in stream order, so
         sequential folds over this iterator are deterministic.
-
-        With an executor whose work leaves this interpreter
-        (:attr:`~repro.engine.parallel.Executor.crosses_processes` —
-        the process pool) and a store-backed session, each pass first
-        flushes a consistent snapshot to the arena and then ships only
-        block *descriptors* to the workers — matrices reach them as
-        shared memory maps, and the extraction kernel is the session's
-        own, so the stream is byte-identical to the in-process one.
         """
         self._maybe_retune()
-        executor = self.session.executor
-        if executor.crosses_processes and self.session.arena is not None:
-            spec = self.session.flush_store()
-            logger.debug(
-                "streaming %d block descriptor(s) across %s executor",
-                len(self.blocks),
-                executor.kind,
-            )
-            return executor.imap(
-                extract_block_job,
-                ((spec, descriptor) for descriptor in self._block_descriptors()),
-            )
 
         def extract(item: Tuple[int, CandidateBlock]):
             offset, block = item
             return offset, self.session.extract(block)
 
-        return executor.imap(extract, zip(self.offsets, self.blocks))
+        return self.session.executor.imap(
+            extract, zip(self.offsets, self.blocks)
+        )
 
     def block_spans(self) -> List[Tuple[int, int]]:
         """``(offset, length)`` of every block in stream order.
@@ -366,30 +343,21 @@ class StreamedAlignmentTask:
 
         The working-set fit path: blocks whose every remaining dual is
         screened out are simply not in ``block_indices`` and are never
-        read from the session (or the arena behind it).  Honors the same
-        executor seam as :meth:`feature_blocks` — cross-process
-        executors receive picklable descriptors against the flushed
-        store — but never re-tunes the partition, so offsets stay
-        aligned with the :meth:`block_spans` the caller captured.
+        read from the session (or the arena behind it).  Extracts on the
+        session's executor like :meth:`feature_blocks`, but never
+        re-tunes the partition, so offsets stay aligned with the
+        :meth:`block_spans` the caller captured.
         """
         wanted = [int(b) for b in block_indices]
         for b in wanted:
             if b < 0 or b >= len(self.blocks):
                 raise ModelError(f"block index {b} out of range")
-        executor = self.session.executor
-        if executor.crosses_processes and self.session.arena is not None:
-            spec = self.session.flush_store()
-            descriptors = self._block_descriptors()
-            return executor.imap(
-                extract_block_job,
-                ((spec, descriptors[b]) for b in wanted),
-            )
 
         def extract(item: Tuple[int, CandidateBlock]):
             offset, block = item
             return offset, self.session.extract(block)
 
-        return executor.imap(
+        return self.session.executor.imap(
             extract,
             ((self.offsets[b], self.blocks[b]) for b in wanted),
         )
@@ -503,31 +471,11 @@ class StreamedAlignmentTask:
 
         The model-backend scoring sweep: each raw feature block runs
         through :func:`~repro.ml.backends.apply_model_state` (feature
-        map, scaler, linear form).  With a process executor and a
-        store-backed session the state ships to the workers alongside
-        the block descriptors
-        (:func:`~repro.store.procwork.model_score_block_job`), so SVM
-        decision passes and landmark transforms fan across processes;
-        the worker kernel is the same function, so results are
-        byte-identical to the inline sweep.
+        map, scaler, linear form).
         """
-        executor = self.session.executor
         scores = np.empty(self.n_candidates, dtype=np.float64)
-        if executor.crosses_processes and self.session.arena is not None:
-            spec = self.session.flush_store()
-            stream = executor.imap(
-                model_score_block_job,
-                (
-                    (spec, descriptor, state)
-                    for descriptor in self._block_descriptors()
-                ),
-            )
-        else:
-            stream = (
-                (offset, apply_model_state(state, X))
-                for offset, X in self.feature_blocks()
-            )
-        for offset, block_scores in stream:
+        for offset, X in self.feature_blocks():
+            block_scores = apply_model_state(state, X)
             scores[offset: offset + block_scores.shape[0]] = block_scores
         return scores
 

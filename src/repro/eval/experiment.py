@@ -225,7 +225,8 @@ class RuntimeMetadata:
     workers:
         Parallelism degree of the shared session's executor.
     executor:
-        Executor backend (``"serial"``, ``"thread"`` or ``"process"``).
+        Executor backend (``"serial"`` or ``"thread"``; files written
+        while a process executor existed may record ``"process"``).
     store_dir:
         Directory of the disk-backed matrix store, or ``None`` for an
         in-memory run.
@@ -249,8 +250,7 @@ class RuntimeMetadata:
         run.
     metrics:
         The full ``repro.obs`` registry snapshot at the end of the run
-        (session counters, the process executor's ``fallback.*``
-        counters, phase-timing histograms), as returned by
+        (session counters, phase-timing histograms), as returned by
         :meth:`~repro.engine.session.AlignmentSession.metrics_snapshot`.
         The flat counters above are a legacy subset kept for older
         readers; this carries everything (persistence format 6).

@@ -242,10 +242,9 @@ def run_anchor_rounds(
 
     ``workers`` and ``store`` configure the session, so one workload
     runs on every executor and storage path.  The closing sweep scores
-    through :func:`~repro.engine.candidates.linear_scorer`, which ships
-    an arena scorer to a process pool.  Outputs ``features`` (the
-    refreshed matrix) and ``selection``; a store run notes its
-    footprint.
+    through :func:`~repro.engine.candidates.linear_scorer`.  Outputs
+    ``features`` (the refreshed matrix) and ``selection``; a store run
+    notes its footprint.
     """
     with AlignmentSession(
         workload.pair,

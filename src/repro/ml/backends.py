@@ -6,8 +6,8 @@ demanded a materialized ``|H| x d`` matrix, and kernel feature maps
 could only be applied to a dense ``X``.  :class:`ModelBackend` is the
 protocol that unifies them — a backend *trains* and *scores* by
 consuming block iterators, so any model rides the whole scaling stack
-(block streaming, thread/process executors, the mmap arena,
-checkpoint/resume) without the dense matrix ever existing.
+(block streaming, thread executors, the mmap arena, checkpoint/resume)
+without the dense matrix ever existing.
 
 A backend binds to a **block source** — any object exposing
 
@@ -16,10 +16,10 @@ A backend binds to a **block source** — any object exposing
 * ``feature_blocks()`` — an ordered iterator of ``(offset, X_block)``;
 
 :class:`~repro.engine.streaming.StreamedAlignmentTask` is the canonical
-source (its extraction already fans out across the session's executor,
-threads or processes alike); :class:`DenseBlockSource` adapts a
-materialized matrix as the trivial one-block stream so the dense paths
-run through the very same backend code.
+source (its extraction already fans out across the session's
+executor); :class:`DenseBlockSource` adapts a materialized matrix as
+the trivial one-block stream so the dense paths run through the very
+same backend code.
 
 Three backends implement the protocol:
 
@@ -40,12 +40,9 @@ Three backends implement the protocol:
   input dimensionality; blocks are mapped on the fly, so kernelized
   fits stream exactly like linear ones.
 
-Scoring ships a :class:`LinearModelState` — plain arrays: optional map
-state, optional scaler statistics, coefficients — which is picklable
-and therefore crosses process boundaries as-is
-(:func:`repro.store.procwork.model_score_block_job`); the worker-side
-and in-process paths both call :func:`apply_model_state`, so a
-process-pool score sweep is byte-identical to the inline one.
+Scoring reads a :class:`LinearModelState` — plain arrays: optional map
+state, optional scaler statistics, coefficients — through
+:func:`apply_model_state`, one block at a time.
 
 Backends expose :meth:`ModelBackend.state_dict` /
 :meth:`ModelBackend.load_state_dict` so their sticky state — dual
@@ -170,7 +167,7 @@ def gather_rows(source, indices: np.ndarray) -> np.ndarray:
 class LinearModelState:
     """Everything needed to score a feature block, as plain arrays.
 
-    The picklable work-unit payload of the model seam: an optional
+    The picklable scoring payload of the model seam: an optional
     fitted feature-map state (:func:`~repro.ml.kernels.feature_map_from_state`),
     optional scaler statistics, and the linear coefficients of the
     fitted model in the mapped/scaled space.
@@ -184,12 +181,7 @@ class LinearModelState:
 
 
 def apply_model_state(state: LinearModelState, X: np.ndarray) -> np.ndarray:
-    """Score one raw feature block: map, scale, then the linear form.
-
-    Shared verbatim by the in-process scoring loop and the process-pool
-    job (:func:`repro.store.procwork.model_score_block_job`), so the
-    two paths are byte-identical on byte-identical blocks.
-    """
+    """Score one raw feature block: map, scale, then the linear form."""
     Z = np.asarray(X, dtype=np.float64)
     if state.map_state is not None:
         Z = feature_map_from_state(state.map_state).transform(Z)
@@ -201,9 +193,8 @@ def apply_model_state(state: LinearModelState, X: np.ndarray) -> np.ndarray:
 def _stream_scores(source, state: LinearModelState) -> np.ndarray:
     """Whole-of-source scores for a model state, block by block.
 
-    A source offering ``linear_model_scores`` (the streamed task, which
-    can ship the state to a process pool over the shared arena) handles
-    the sweep itself; anything else is scored inline.
+    A source offering ``linear_model_scores`` (the streamed task)
+    handles the sweep itself; anything else is scored inline.
     """
     if hasattr(source, "linear_model_scores"):
         return source.linear_model_scores(state)
@@ -477,8 +468,7 @@ class SVMBackend(ModelBackend):
     convention of the dense
     :class:`~repro.core.svm_baselines.SVMAligner`) and optionally
     kernelized through the composed feature map.  Scoring streams every
-    block through :func:`apply_model_state`, which a store-backed
-    session fans across the process pool.
+    block through :func:`apply_model_state`.
 
     With ``train_indices`` (the supervised mode used by the SVM
     baselines and by the active loop, where the clamped set is the

@@ -28,8 +28,8 @@ special case, so a streamed fit over any block partition of ``X`` is
 byte-identical to the dense fit.
 
 Every map serializes to a plain-array :meth:`state_dict` and rebuilds
-via :func:`feature_map_from_state`; that is how fitted maps cross
-process boundaries (:mod:`repro.store.procwork`) and enter checkpoints.
+via :func:`feature_map_from_state`; that is how fitted maps enter
+checkpoints.
 """
 
 from __future__ import annotations
@@ -444,8 +444,8 @@ def feature_map_from_state(state: Dict):
     """Rebuild a fitted feature map from any map's :meth:`state_dict`.
 
     The inverse of ``state_dict`` across all map classes — this is how
-    fitted maps travel through pickles (process work units, session
-    checkpoints) as plain arrays rather than live objects.
+    fitted maps travel through pickles (session checkpoints) as plain
+    arrays rather than live objects.
     """
     kind = state.get("kind")
     try:

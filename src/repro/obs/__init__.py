@@ -2,13 +2,11 @@
 
 ``repro.obs`` is the telemetry layer under the whole reproduction:
 
-* :mod:`repro.obs.tracing` — a low-overhead span tracer whose
-  picklable :class:`~repro.obs.tracing.TraceContext` rides
-  ``ProcessExecutor`` job payloads, so one trace id links a run's
-  phases and the jobs its worker processes ran;
+* :mod:`repro.obs.tracing` — a low-overhead span tracer whose trace
+  id links a run's phases;
 * :mod:`repro.obs.metrics` — a registry of named counters, gauges,
-  and histograms that unifies the session, executor, and runtime
-  counter surfaces behind one API (the legacy dataclass-shaped view
+  and histograms that unifies the session and runtime counter
+  surfaces behind one API (the legacy dataclass-shaped view
   ``SessionStats`` remains as a thin facade);
 * :mod:`repro.obs.logsetup` — opt-in structured ``logging``
   configuration for every ``repro.*`` module logger;
@@ -33,7 +31,6 @@ from repro.obs.tracing import (
     JsonlSink,
     NullTracer,
     Span,
-    TraceContext,
     Tracer,
     configure_tracing,
     get_tracer,
@@ -49,7 +46,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "TraceContext",
     "Tracer",
     "configure_tracing",
     "get_tracer",

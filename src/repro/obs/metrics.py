@@ -5,12 +5,12 @@ attribute bags: ``SessionStats`` on the alignment session and the
 ``full_recounts``-style fields copied into ``RuntimeMetadata`` at the
 end of an experiment.  The registry absorbs them: every number is a
 named :class:`Counter` / :class:`Gauge` / :class:`Histogram` in a
-:class:`MetricsRegistry` (the session's, or an executor's own, such as
-the process executor's ``fallback.*`` counters), and the legacy
-dataclass-shaped surfaces are kept as :class:`CounterGroup` *views* —
-same attribute names, same ``+=`` idiom, same keyword construction —
-so checkpoints and persistence files keep their exact schema while new
-code reads one ``registry.snapshot()``.
+:class:`MetricsRegistry` (the session's, or the process-global one),
+and the legacy dataclass-shaped surfaces are kept as
+:class:`CounterGroup` *views* — same attribute names, same ``+=``
+idiom, same keyword construction — so checkpoints and persistence files
+keep their exact schema while new code reads one
+``registry.snapshot()``.
 
 Views detach on pickling (a pickled ``SessionStats`` carries its
 values into a private registry), which keeps copies taken mid-run —
@@ -305,6 +305,6 @@ _global = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-wide registry (sessions/executors default here
-    only when not handed their own)."""
+    """The process-wide registry (sessions default here only when not
+    handed their own)."""
     return _global

@@ -3,9 +3,7 @@
 These back ``repro.cli trace summarize`` and ``repro.cli trace tree``.
 Both consume the line-per-span files written by
 :class:`repro.obs.tracing.JsonlSink` (the rotated ``.1`` generation,
-when present, is read first so durations aggregate across a rotation)
-plus any ``trace-worker-*.jsonl`` siblings that same-host worker
-processes appended next to the driver's file.
+when present, is read first so durations aggregate across a rotation).
 """
 
 from __future__ import annotations
@@ -22,10 +20,8 @@ __all__ = [
 ]
 
 
-def load_spans(
-    path: Union[str, Path], include_workers: bool = True
-) -> List[Dict]:
-    """Every span record reachable from ``path``, in file order."""
+def load_spans(path: Union[str, Path]) -> List[Dict]:
+    """Every span record in ``path`` and its rotation, in file order."""
     path = Path(path)
     files: List[Path] = []
     rotated = path.with_name(path.name + ".1")
@@ -33,8 +29,6 @@ def load_spans(
         files.append(rotated)
     if path.exists():
         files.append(path)
-    if include_workers:
-        files.extend(sorted(path.parent.glob("trace-worker-*.jsonl")))
     if not files:
         raise FileNotFoundError(f"no trace file at {path}")
     spans: List[Dict] = []
@@ -122,7 +116,7 @@ def format_trace_trees(
 ) -> str:
     """Indented parent/child trees, one block per trace id.
 
-    Spans whose parent never reported (a worker killed mid-span, a
+    Spans whose parent never reported (a run killed mid-span, a
     truncated file) surface as roots marked ``[orphan]`` rather than
     disappearing.
     """

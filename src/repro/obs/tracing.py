@@ -1,15 +1,11 @@
-"""Low-overhead span tracing with cross-process context propagation.
+"""Low-overhead span tracing.
 
 The tracer is span-shaped: a :class:`Span` carries a trace id, its own
 span id, an explicit parent id, a wall-clock start and a *monotonic*
-duration (wall clocks are free to step between hosts; durations are
-not).  Spans nest implicitly per thread — entering a span pushes it on
-a thread-local stack, so children recorded underneath link to it
-without any plumbing — and explicitly across pickles: a
-:class:`TraceContext` is a tiny frozen dataclass that rides
-``ProcessExecutor`` job payloads, letting a worker process parent its
-spans on the dispatching process's active span.  One trace id
-therefore links a run's phases and the jobs its worker processes ran.
+duration (the wall clock is free to step; durations are not).  Spans
+nest implicitly per thread — entering a span pushes it on a
+thread-local stack, so children recorded underneath link to it without
+any plumbing — and one trace id links a run's phases.
 
 Cost discipline:
 
@@ -34,12 +30,10 @@ import os
 import threading
 import time
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 __all__ = [
-    "TraceContext",
     "Span",
     "Tracer",
     "NullTracer",
@@ -53,21 +47,6 @@ __all__ = [
 
 def _new_id() -> str:
     return uuid.uuid4().hex[:16]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """A picklable pointer at one span of one trace.
-
-    This is the only tracing object that crosses process or host
-    boundaries.  ``sink_dir`` optionally names a directory where a
-    worker process may append its own span file
-    (``trace-worker-<pid>.jsonl``).
-    """
-
-    trace_id: str
-    span_id: str
-    sink_dir: Optional[str] = None
 
 
 class Span:
@@ -105,15 +84,6 @@ class Span:
         """Attach attributes to a span already underway."""
         self.attributes.update(attributes)
 
-    @property
-    def context(self) -> TraceContext:
-        """A picklable context parented on this span."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            sink_dir=self._tracer.sink_dir,
-        )
-
     def __enter__(self) -> "Span":
         self._start_wall = time.time()
         self._start_monotonic = time.monotonic()
@@ -146,7 +116,6 @@ class _NullSpan:
     trace_id = ""
     span_id = ""
     parent_id = None
-    context = None
 
     def annotate(self, **attributes) -> None:
         pass
@@ -200,10 +169,9 @@ class Tracer:
 
     Span nesting is tracked per thread; :meth:`span` links a new span
     to the innermost active one on the calling thread unless an
-    explicit ``parent`` (a :class:`Span` or :class:`TraceContext`) is
-    given.  Records accumulate in :attr:`records` (drainable, for
-    in-process readers) and stream into ``sink`` when one is
-    attached.
+    explicit ``parent`` :class:`Span` is given.  Records accumulate in
+    :attr:`records` (drainable, for in-process readers) and stream into
+    ``sink`` when one is attached.
     """
 
     enabled = True
@@ -214,25 +182,17 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
 
-    @property
-    def sink_dir(self) -> Optional[str]:
-        if self.sink is None:
-            return None
-        return str(self.sink.path.parent)
-
     # -- span lifecycle -------------------------------------------------
     def span(
         self,
         name: str,
-        parent: Union[Span, TraceContext, None] = None,
+        parent: Optional[Span] = None,
         **attributes,
     ) -> Span:
         if parent is None:
             parent = self.current_span()
         if parent is None:
             trace_id, parent_id = _new_id(), None
-        elif isinstance(parent, TraceContext):
-            trace_id, parent_id = parent.trace_id, parent.span_id
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
         return Span(self, name, trace_id, parent_id, dict(attributes))
@@ -240,11 +200,6 @@ class Tracer:
     def current_span(self) -> Optional[Span]:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
-
-    def current_context(self) -> Optional[TraceContext]:
-        """Picklable context of the innermost active span, if any."""
-        span = self.current_span()
-        return None if span is None else span.context
 
     def _push(self, span: Span) -> None:
         stack = getattr(self._local, "stack", None)
@@ -282,16 +237,12 @@ class NullTracer:
 
     enabled = False
     sink = None
-    sink_dir = None
     records: List[Dict] = []
 
     def span(self, name, parent=None, **attributes) -> _NullSpan:
         return _NULL_SPAN
 
     def current_span(self) -> None:
-        return None
-
-    def current_context(self) -> None:
         return None
 
     def ingest(self, records) -> None:

@@ -14,9 +14,8 @@ files plus a versioned JSON manifest.  Three kinds of entries exist:
 Writes are **atomic**: every component is written to a temporary file
 and ``os.replace``-d into place, and the manifest is rewritten the same
 way with a monotonically increasing ``version``.  A reader (including
-one in another process — the :class:`~repro.engine.parallel`
-``ProcessExecutor`` workers) therefore never observes a half-written
-matrix, and can use the version counter to detect staleness cheaply.
+a session reopening the store after a crash) therefore never observes a
+half-written matrix.
 
 Entries are opened **lazily** and the open (mmap-backed) handles are
 cached per name; :meth:`put` and :meth:`drop` invalidate the handle so
@@ -97,13 +96,6 @@ class MatrixArena:
         Directory holding the manifest and data files; created (with
         parents) when missing.  An existing manifest is loaded, so an
         arena can be reopened across processes and sessions.
-
-    Notes
-    -----
-    The arena is the unit of sharing between processes: every worker
-    opens the same ``store_dir`` and the OS page cache serves one
-    physical copy of each matrix to all of them — matrices are never
-    pickled across process boundaries.
     """
 
     def __init__(self, store_dir: Union[str, Path]) -> None:
@@ -155,16 +147,6 @@ class MatrixArena:
         tmp = _tmp_path(self.manifest_path)
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
         os.replace(tmp, self.manifest_path)
-
-    def refresh(self) -> int:
-        """Re-read the manifest (another process may have written it)."""
-        with self._lock:
-            if self.manifest_path.exists():
-                stale = set(self._entries)
-                self._load_manifest()
-                for name in stale | set(self._entries):
-                    self._open.pop(name, None)
-            return self._version
 
     @property
     def version(self) -> int:

@@ -95,6 +95,11 @@ class TestRuntimeMetadata:
         assert payload["runtime"]["fallback_invalidations"] >= 0
         restored = outcome_from_dict(payload)
         assert restored.runtime == outcome.runtime
+        # Files written while the process executor existed still load.
+        payload["runtime"].update(executor="process", workers=2)
+        restored = outcome_from_dict(payload)
+        assert restored.runtime.executor == "process"
+        assert restored.runtime.workers == 2
 
     def test_runtime_carries_metrics_snapshot(self, outcome):
         payload = outcome_to_dict(outcome)

@@ -24,19 +24,20 @@ def _write_trace(path, tracer=None):
 
 
 class TestLoadSpans:
-    def test_reads_rotation_then_active_then_workers(self, tmp_path):
+    def test_reads_rotation_then_active(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.with_name("trace.jsonl.1").write_text(
             json.dumps({"span": "old", "trace": "t", "name": "rotated"}) + "\n"
         )
         _write_trace(path)
-        (tmp_path / "trace-worker-123.jsonl").write_text(
-            json.dumps({"span": "w", "trace": "t", "name": "worker"}) + "\n"
+        (tmp_path / "other.jsonl").write_text(
+            json.dumps({"span": "o", "trace": "t", "name": "other"}) + "\n"
         )
         names = [span["name"] for span in load_spans(path)]
         assert names[0] == "rotated"  # rotated generation first
-        assert names[-1] == "worker"  # worker files last
+        assert names[-1] == "root"  # the active file last (root exits last)
         assert names.count("child") == 2
+        assert "other" not in names  # sibling files are not read
 
     def test_skips_torn_lines_and_non_spans(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -54,15 +55,6 @@ class TestLoadSpans:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_spans(tmp_path / "absent.jsonl")
-
-    def test_workers_can_be_excluded(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        _write_trace(path)
-        (tmp_path / "trace-worker-9.jsonl").write_text(
-            json.dumps({"span": "w", "trace": "t", "name": "worker"}) + "\n"
-        )
-        names = [s["name"] for s in load_spans(path, include_workers=False)]
-        assert "worker" not in names
 
 
 class TestSummarize:

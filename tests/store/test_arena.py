@@ -123,14 +123,6 @@ class TestManifest:
         assert set(reopened.keys()) == {"m", "meta"}
         assert (abs(reopened.get("m") - matrix)).nnz == 0
 
-    def test_refresh_picks_up_external_writes(self, tmp_path):
-        writer = MatrixArena(tmp_path)
-        reader = MatrixArena(tmp_path)
-        writer.put("m", _random_csr(9))
-        assert "m" not in reader
-        reader.refresh()
-        assert "m" in reader
-
     def test_unsupported_format_rejected(self, tmp_path):
         arena = MatrixArena(tmp_path)
         arena.put_array("x", np.zeros(1))

@@ -28,10 +28,19 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, complaint",
         [
-            (["engine", "--executor", "rpc"], "invalid choice: 'rpc'"),
+            # The explicit action keeps argparse from reading the flag's
+            # value as engine's optional positional.
+            (
+                ["engine", "diagnose", "--executor", "rpc"],
+                "unrecognized arguments: --executor rpc",
+            ),
             (
                 ["worker", "--listen", "127.0.0.1:0", "--store-dir", "D"],
                 "invalid choice: 'worker'",
+            ),
+            (
+                ["engine", "diagnose", "--executor", "process"],
+                "unrecognized arguments: --executor process",
             ),
         ],
     )
