@@ -1,14 +1,15 @@
 """Ablation: covering-set reuse (memoized counting) vs naive recomputation.
 
 Section III-B.3 motivates computing diagram instances by combining
-already-computed pieces.  The CountingEngine memoizes sub-expressions;
-this bench measures the speedup over evaluating every diagram
-expression from scratch and verifies both approaches agree.
+already-computed pieces.  The CountingEngine memoizes sub-expressions
+and computes each one in its cheapest exact form (reassociated chains,
+face-split stacks); this bench measures the speedup over evaluating
+every diagram expression from scratch, left to right, and gates that
+both give the same CSR bytes.  Its record carries the exactness flag
+and the number of entries the engine stores.
 """
 
 import time
-
-import numpy as np
 
 from conftest import publish
 from repro.meta.algebra import CountingEngine
@@ -25,6 +26,20 @@ def _evaluate_memoized(bag, family):
     return [engine.evaluate(expr) for expr in family.exprs], engine
 
 
+def _csr_bytes(matrix):
+    """Shape and stored arrays of a matrix in canonical CSR form."""
+    matrix = matrix.tocsr().copy()
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    return (
+        matrix.shape,
+        matrix.indptr.tobytes(),
+        matrix.indices.tobytes(),
+        matrix.data.tobytes(),
+    )
+
+
 def test_ablation_counting_reuse(benchmark, pair):
     anchors = sorted(pair.anchors, key=repr)[: max(5, pair.anchor_count() // 2)]
     bag = build_matrix_bag(pair, known_anchors=anchors)
@@ -38,8 +53,11 @@ def test_ablation_counting_reuse(benchmark, pair):
     memoized, engine = _evaluate_memoized(bag, family)
     memo_seconds = time.perf_counter() - started
 
-    for a, b in zip(naive, memoized):
-        assert np.array_equal(a.toarray(), b.toarray())
+    mismatched = [
+        name
+        for name, a, b in zip(family.feature_names, naive, memoized)
+        if _csr_bytes(a) != _csr_bytes(b)
+    ]
 
     speedup = naive_seconds / memo_seconds if memo_seconds > 0 else float("inf")
     publish(
@@ -51,9 +69,21 @@ def test_ablation_counting_reuse(benchmark, pair):
                 f"memoized evaluation: {memo_seconds:.4f}s",
                 f"speedup            : {speedup:.2f}x",
                 f"cache entries      : {engine.cache_size}",
+                f"stored entries     : {engine.stored_entries}",
+                f"CSR bytes identical: {not mismatched}",
             ]
         ),
+        record={
+            "flags": {"csr_identical": not mismatched},
+            "metrics": {
+                "naive_s": naive_seconds,
+                "memoized_s": memo_seconds,
+                "cache_entries": engine.cache_size,
+                "stored_entries": engine.stored_entries,
+            },
+        },
     )
+    assert not mismatched, f"engine differs from naive evaluation: {mismatched}"
 
     benchmark.pedantic(
         _evaluate_memoized, args=(bag, family), rounds=3, iterations=1

@@ -25,7 +25,7 @@ candidate blocks without ever allocating the |H| x d matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,16 +45,18 @@ from repro.types import LinkPair, NodeId
 class AlternatingState:
     """Per-task invariants of the alternating loop, reused across refits.
 
-    The free candidate list and the blocked endpoint sets depend only on
-    the task and the clamped label set — not on the iteration.  Building
-    them costs a pass over all candidates; the active loop refits after
-    every query round, so the state is built once and then *narrowed*
-    incrementally as answers arrive (:meth:`clamp`) instead of being
-    rebuilt from scratch per fit.
+    Which candidates are free and which endpoints are blocked depends
+    only on the task and the clamped label set — not on the iteration.
+    The active loop refits after every query round, so the state is
+    built once and then *narrowed* as answers arrive (:meth:`clamp`)
+    instead of being rebuilt per fit.  The greedy step runs over every
+    candidate with the clamped scores at ``-inf``: none of them clears
+    the threshold, so the free candidates get the labels a greedy over
+    the free candidates alone would give.
     """
 
-    free_indices: np.ndarray
-    free_pairs: List[LinkPair]
+    pairs: Sequence[LinkPair]
+    free: np.ndarray
     blocked_left: Set[NodeId]
     blocked_right: Set[NodeId]
 
@@ -66,19 +68,10 @@ class AlternatingState:
         clamped_values: np.ndarray,
     ) -> "AlternatingState":
         """Build the state for a task and its clamped label set."""
-        free_mask = np.ones(task.n_candidates, dtype=bool)
-        free_mask[clamped_indices] = False
-        free_indices = np.flatnonzero(free_mask)
-        pairs = task.pairs
-        free_pairs = [pairs[i] for i in free_indices.tolist()]
-        blocked_left: Set[NodeId] = set()
-        blocked_right: Set[NodeId] = set()
-        for index, value in zip(clamped_indices.tolist(), clamped_values.tolist()):
-            if value == 1:
-                left_user, right_user = pairs[index]
-                blocked_left.add(left_user)
-                blocked_right.add(right_user)
-        return cls(free_indices, free_pairs, blocked_left, blocked_right)
+        free = np.ones(task.n_candidates, dtype=bool)
+        state = cls(task.pairs, free, set(), set())
+        state.clamp(task, clamped_indices, clamped_values)
+        return state
 
     def clamp(
         self,
@@ -86,22 +79,9 @@ class AlternatingState:
         indices: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        """Narrow the state after new labels are clamped (queried).
-
-        A round clamps at most ``k`` labels, so their free positions are
-        found by binary search and deleted in place — the |H| free list
-        is never rebuilt.
-        """
+        """Narrow the state after new labels are clamped (queried)."""
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return
-        positions = np.searchsorted(self.free_indices, indices)
-        found = positions < self.free_indices.size
-        found[found] = self.free_indices[positions[found]] == indices[found]
-        positions = np.unique(positions[found])
-        for position in positions[::-1].tolist():
-            del self.free_pairs[position]
-        self.free_indices = np.delete(self.free_indices, positions)
+        self.free[indices] = False
         for index, value in zip(indices.tolist(), np.asarray(values).tolist()):
             if value == 1:
                 left_user, right_user = task.pairs[index]
@@ -286,15 +266,14 @@ class IterMPMD(AlignmentModel):
         w = backend.fit(y)
         scores = backend.scores(w)
         for _ in range(self.max_iterations):
-            free_labels = greedy_link_selection(
-                state.free_pairs,
-                scores[state.free_indices],
+            labels = greedy_link_selection(
+                state.pairs,
+                np.where(state.free, scores, -np.inf),
                 threshold=self.positive_threshold,
                 blocked_left=state.blocked_left,
                 blocked_right=state.blocked_right,
             )
-            new_y = y.copy()
-            new_y[state.free_indices] = free_labels
+            new_y = np.where(state.free, labels, y)
             delta = float(np.abs(new_y - y).sum())
             trace.append(delta)
             y = new_y

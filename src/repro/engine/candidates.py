@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, 
 import numpy as np
 from scipy import sparse
 
-from repro.engine.parallel import WorkersSpec, get_executor
+from repro.engine.parallel import Executor, WorkersSpec, get_executor
 from repro.exceptions import AlignmentError, ConstraintViolationError
 from repro.matching.greedy import greedy_walk
 from repro.networks.aligned import AlignedPair
@@ -468,24 +468,29 @@ def streamed_selection(
 
     # Survivors, per block: left slots, right slots, scores.
     survivors: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # Streaming imap, not map: blocks flow into the executor's bounded
-    # in-flight window as the generator produces them.
-    scored = executor.imap(score, generator.blocks())
-    for block, scores in scored:
-        if scores.shape[0] != len(block):
-            raise AlignmentError(
-                f"score function returned {scores.shape[0]} scores "
-                f"for a block of {len(block)} candidates"
+    try:
+        # Streaming imap, not map: blocks flow into the executor's
+        # bounded in-flight window as the generator produces them.
+        for block, scores in executor.imap(score, generator.blocks()):
+            if scores.shape[0] != len(block):
+                raise AlignmentError(
+                    f"score function returned {scores.shape[0]} scores "
+                    f"for a block of {len(block)} candidates"
+                )
+            if np.isnan(scores).any():
+                raise ConstraintViolationError(
+                    "candidate link scores contain NaN in the block at "
+                    f"offset {block.offset}"
+                )
+            keep = np.flatnonzero(scores > threshold)
+            survivors.append(
+                (block.left_indices[keep], block.right_indices[keep], scores[keep])
             )
-        if np.isnan(scores).any():
-            raise ConstraintViolationError(
-                "candidate link scores contain NaN in the block at "
-                f"offset {block.offset}"
-            )
-        keep = np.flatnonzero(scores > threshold)
-        survivors.append(
-            (block.left_indices[keep], block.right_indices[keep], scores[keep])
-        )
+    finally:
+        # A pool built here from an integer is this call's to close; a
+        # passed-in executor stays open for its owner.
+        if not isinstance(workers, Executor):
+            executor.close()
     if not survivors:
         return []
     left, right, scores = map(np.concatenate, zip(*survivors))

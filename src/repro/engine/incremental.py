@@ -365,16 +365,29 @@ class DeltaEvaluator:
         A sub-expression the engine holds in seeded ``(base, pending)``
         form is read component-wise — padding and folding are both
         avoided; positions outside a smaller (pre-growth) component are
-        zeros by construction.
+        zeros by construction.  One it does not hold (the branch of a
+        face-split stack, whose product the engine never builds) is
+        computed at the rows the positions touch only, and neither
+        materialized nor cached.
         """
         component_view = self._engine.components(expr)
         if component_view is None:
-            return csr_values_at(self._old(expr), rows, cols)
+            touched, at = np.unique(rows, return_inverse=True)
+            return csr_values_at(self._old_rows(expr, touched), at, cols)
         base, pending = component_view
         values = self._masked_values_at(base, rows, cols)
         if pending is not None:
             values += self._masked_values_at(pending, rows, cols)
         return values
+
+    def _old_rows(self, expr: Expr, rows: np.ndarray) -> sparse.csr_matrix:
+        """``old(expr)[rows]``; a chain is multiplied outward from them."""
+        if not isinstance(expr, Chain):
+            return self._old(expr)[rows]
+        value = self._old_rows(expr.segments[0], rows)
+        for segment in expr.segments[1:]:
+            value = (value @ self._old(segment)).tocsr()
+        return value
 
     @staticmethod
     def _masked_values_at(

@@ -104,6 +104,25 @@ def counts_slot(structure_name: str) -> str:
     return f"counts/{structure_name}"
 
 
+def _count_sums(counts: sparse.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of a count matrix, read off its stored arrays.
+
+    Scipy's ``sum(axis=...)`` costs more in per-call plumbing than the
+    sums of most structures.  Counts are integers, so the sums are
+    exact in any order.
+    """
+    row_sums = np.zeros(counts.shape[0])
+    filled = np.diff(counts.indptr) > 0
+    if filled.any():
+        row_sums[filled] = np.add.reduceat(
+            counts.data, counts.indptr[:-1][filled]
+        )
+    col_sums = np.bincount(
+        counts.indices, weights=counts.data, minlength=counts.shape[1]
+    )
+    return row_sums, col_sums
+
+
 class SessionStats(CounterGroup):
     """Counters describing how much work the session avoided.
 
@@ -571,8 +590,7 @@ class AlignmentSession:
             if structure.counts is None:
                 counts = self._engine.evaluate(structure.expr)
                 structure.pending.clear()
-                structure.row_sums = np.asarray(counts.sum(axis=1)).ravel()
-                structure.col_sums = np.asarray(counts.sum(axis=0)).ravel()
+                structure.row_sums, structure.col_sums = _count_sums(counts)
                 structure.proximity = None
                 structure.counts = self._publish_counts(structure, counts)
                 with self._state_lock:

@@ -50,7 +50,7 @@ from repro.active.strategies import ScoredBlock
 from repro.engine.candidates import BlockDescriptor, CandidateGenerator
 from repro.engine.session import AlignmentSession
 from repro.exceptions import ModelError
-from repro.ml.backends import LinearModelState, apply_model_state, gather_rows
+from repro.ml.backends import gather_rows
 from repro.types import LinkPair
 
 logger = logging.getLogger(__name__)
@@ -465,19 +465,6 @@ class StreamedAlignmentTask:
         task-initial one.)
         """
         return gather_rows(self, self.labeled_indices)
-
-    def linear_model_scores(self, state: LinearModelState) -> np.ndarray:
-        """Whole-of-H scores of a picklable model state, block by block.
-
-        The model-backend scoring sweep: each raw feature block runs
-        through :func:`~repro.ml.backends.apply_model_state` (feature
-        map, scaler, linear form).
-        """
-        scores = np.empty(self.n_candidates, dtype=np.float64)
-        for offset, X in self.feature_blocks():
-            block_scores = apply_model_state(state, X)
-            scores[offset: offset + block_scores.shape[0]] = block_scores
-        return scores
 
     def scored_blocks(
         self,

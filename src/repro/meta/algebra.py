@@ -45,11 +45,21 @@ MatrixBag = Dict[str, sparse.csr_matrix]
 
 
 class Expr:
-    """Base class of count-algebra expressions."""
+    """Base class of count-algebra expressions.
+
+    Nodes are never mutated after construction, so each one stores its
+    canonical key and its leaf names once, when it is built
+    (:meth:`_identify`).
+    """
+
+    def _identify(self, key: str, leaves: Tuple[str, ...]) -> None:
+        self._key = key
+        self._leaves = leaves
+        self._leaf_set = frozenset(leaves)
 
     def key(self) -> str:
         """Canonical structural key; equal keys imply equal matrices."""
-        raise NotImplementedError
+        return self._key
 
     def evaluate(self, matrices: MatrixBag) -> sparse.csr_matrix:
         """Evaluate without memoization (see :class:`CountingEngine`)."""
@@ -57,7 +67,7 @@ class Expr:
 
     def leaves(self) -> Tuple[str, ...]:
         """All leaf matrix names referenced by this expression."""
-        raise NotImplementedError
+        return self._leaves
 
     def depends_on(self, names: Union[str, Iterable[str]]) -> bool:
         """Whether any of the named matrices appears as a leaf.
@@ -69,8 +79,7 @@ class Expr:
         """
         if isinstance(names, str):
             names = (names,)
-        wanted = set(names)
-        return any(leaf in wanted for leaf in self.leaves())
+        return not self._leaf_set.isdisjoint(names)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.key()})"
@@ -92,9 +101,7 @@ class Leaf(Expr):
             raise MetaStructureError("leaf matrix name must be non-empty")
         self.name = name
         self.transpose = transpose
-
-    def key(self) -> str:
-        return f"{self.name}^T" if self.transpose else self.name
+        self._identify(f"{name}^T" if transpose else name, (name,))
 
     def evaluate(self, matrices: MatrixBag) -> sparse.csr_matrix:
         try:
@@ -106,9 +113,6 @@ class Leaf(Expr):
         if self.transpose:
             return matrix.transpose().tocsr()
         return matrix.tocsr()
-
-    def leaves(self) -> Tuple[str, ...]:
-        return (self.name,)
 
     @property
     def T(self) -> "Leaf":
@@ -129,9 +133,10 @@ class Chain(Expr):
         if len(flattened) < 2:
             raise MetaStructureError("Chain needs at least two segments")
         self.segments: Tuple[Expr, ...] = tuple(flattened)
-
-    def key(self) -> str:
-        return "(" + "@".join(segment.key() for segment in self.segments) + ")"
+        self._identify(
+            "(" + "@".join(segment.key() for segment in self.segments) + ")",
+            sum((segment.leaves() for segment in self.segments), ()),
+        )
 
     def evaluate(self, matrices: MatrixBag) -> sparse.csr_matrix:
         result = self.segments[0].evaluate(matrices)
@@ -144,12 +149,6 @@ class Chain(Expr):
                 )
             result = (result @ operand).tocsr()
         return result
-
-    def leaves(self) -> Tuple[str, ...]:
-        names: Tuple[str, ...] = ()
-        for segment in self.segments:
-            names += segment.leaves()
-        return names
 
 
 class Parallel(Expr):
@@ -171,9 +170,10 @@ class Parallel(Expr):
         self.branches: Tuple[Expr, ...] = tuple(
             sorted(flattened, key=lambda branch: branch.key())
         )
-
-    def key(self) -> str:
-        return "(" + "*".join(branch.key() for branch in self.branches) + ")"
+        self._identify(
+            "(" + "*".join(branch.key() for branch in self.branches) + ")",
+            sum((branch.leaves() for branch in self.branches), ()),
+        )
 
     def evaluate(self, matrices: MatrixBag) -> sparse.csr_matrix:
         result = self.branches[0].evaluate(matrices)
@@ -186,12 +186,6 @@ class Parallel(Expr):
                 )
             result = result.multiply(operand).tocsr()
         return result
-
-    def leaves(self) -> Tuple[str, ...]:
-        names: Tuple[str, ...] = ()
-        for branch in self.branches:
-            names += branch.leaves()
-        return names
 
 
 def pad_csr(
@@ -284,6 +278,119 @@ def dirty_expressions(
     )
 
 
+def _chain_product(
+    operands: Sequence[sparse.csr_matrix], key: str
+) -> sparse.csr_matrix:
+    """A chain's product, multiplied in its cheapest estimated order.
+
+    The matrix-chain DP: multiplying ``X`` by ``Y`` is estimated at
+    ``nnz(X)·nnz(Y)/inner`` flops (entries spread evenly), and a
+    product's entry count at that estimate capped by its dense size.
+    Ties keep the left-to-right order.  ``P5 = W1 T1 T2ᵀ W2ᵀ`` becomes
+    ``(W1 T1)(T2ᵀ W2ᵀ)``, which never builds the users × posts
+    intermediate.  Counts are integers, so every order gives the same
+    entries.
+    """
+    for left, right in zip(operands, operands[1:]):
+        if left.shape[1] != right.shape[0]:
+            raise MetaStructureError(
+                f"chain shape mismatch: {left.shape} @ {right.shape} in {key}"
+            )
+    nnz = {(i, i): float(operand.nnz) for i, operand in enumerate(operands)}
+    cost = {(i, i): 0.0 for i in range(len(operands))}
+    split: Dict[Tuple[int, int], int] = {}
+    for length in range(2, len(operands) + 1):
+        for i in range(len(operands) - length + 1):
+            j = i + length - 1
+            best = None
+            for k in range(j - 1, i - 1, -1):
+                flops = (
+                    nnz[i, k] * nnz[k + 1, j] / max(operands[k].shape[1], 1)
+                )
+                total = cost[i, k] + cost[k + 1, j] + flops
+                if best is None or total < best[0]:
+                    best = (total, k, flops)
+            cost[i, j], split[i, j], flops = best
+            nnz[i, j] = min(
+                flops, float(operands[i].shape[0] * operands[j].shape[1])
+            )
+
+    def product(i: int, j: int) -> sparse.csr_matrix:
+        if i == j:
+            return operands[i]
+        k = split[i, j]
+        return (product(i, k) @ product(k + 1, j)).tocsr()
+
+    return product(0, len(operands) - 1)
+
+
+def _row_kron(
+    a: sparse.csr_matrix, b: sparse.csr_matrix
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries of the row-wise Kronecker product ``a • b``.
+
+    Returns each entry's row, its column key ``col_a * b.shape[1] +
+    col_b`` (int64) and its value, row by row.
+    """
+    a_counts = np.diff(a.indptr).astype(np.int64)
+    b_counts = np.diff(b.indptr).astype(np.int64)
+    per_row = a_counts * b_counts
+    rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), per_row)
+    within = np.arange(rows.size, dtype=np.int64) - np.repeat(
+        np.cumsum(per_row) - per_row, per_row
+    )
+    width = np.repeat(b_counts, per_row)
+    a_at = np.repeat(a.indptr[:-1].astype(np.int64), per_row) + within // width
+    b_at = np.repeat(b.indptr[:-1].astype(np.int64), per_row) + within % width
+    keys = a.indices[a_at].astype(np.int64) * b.shape[1] + b.indices[b_at]
+    return rows, keys, a.data[a_at] * b.data[b_at]
+
+
+def _face_split_pair(
+    left: sparse.csr_matrix,
+    right: sparse.csr_matrix,
+    x: sparse.csr_matrix,
+    y: sparse.csr_matrix,
+) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Fold the product ``x @ y.T`` into a stack ``left @ right.T``.
+
+    Returns ``(left • x, right • y)`` with their column pairs renumbered
+    over the pairs both sides hold: a pair on one side only adds
+    nothing, and the inner index stays below either side's entry count.
+    """
+    left_rows, left_keys, left_data = _row_kron(left, x)
+    right_rows, right_keys, right_data = _row_kron(right, y)
+    keys = np.concatenate([left_keys, right_keys])
+    # One sort groups equal column pairs across both sides.
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    group = np.empty(keys.size, dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    split = left_keys.size
+    on_left = np.zeros(int(starts.sum()), dtype=bool)
+    on_left[group[:split]] = True
+    shared = np.zeros_like(on_left)
+    shared[group[split:]] = True
+    shared &= on_left
+    code = np.cumsum(shared) - 1
+    inner = int(shared.sum())
+
+    def factor(rows, groups, data, n_rows):
+        held = shared[groups]
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[held], minlength=n_rows), out=indptr[1:])
+        return sparse.csr_matrix(
+            (data[held], code[groups[held]], indptr), shape=(n_rows, inner)
+        )
+
+    return (
+        factor(left_rows, group[:split], left_data, left.shape[0]),
+        factor(right_rows, group[split:], right_data, right.shape[0]),
+    )
+
+
 class CountingEngine:
     """Memoizing evaluator for count-algebra expressions.
 
@@ -292,6 +399,14 @@ class CountingEngine:
     pieces; every follow diagram contains products with ``A``).  The
     engine caches every sub-expression by canonical key, which implements
     the covering-set reuse described at the end of Section III-B.3.
+
+    Each node is computed in its cheapest exact form.  A chain is
+    multiplied in the order with the fewest estimated flops, and a stack
+    whose branches are all two-segment products goes through the
+    face-splitting identity, so neither the chain's intermediates nor
+    the stack's branch products are built or stored.  Counts are
+    integers, so every result is byte-identical to left-to-right
+    evaluation (:meth:`Expr.evaluate`).
 
     Parameters
     ----------
@@ -346,6 +461,11 @@ class CountingEngine:
         """Number of memoized sub-expression results."""
         return len(self._cache)
 
+    @property
+    def stored_entries(self) -> int:
+        """Stored entries across the memoized results, leaves included."""
+        return sum(matrix.nnz for matrix in list(self._cache.values()))
+
     def matrix(self, name: str) -> sparse.csr_matrix:
         """The named base matrix currently held by the engine.
 
@@ -398,15 +518,14 @@ class CountingEngine:
         if isinstance(expr, Leaf):
             result = expr.evaluate(self._matrices)
         elif isinstance(expr, Chain):
-            result = self.evaluate(expr.segments[0])
-            for segment in expr.segments[1:]:
-                operand = self.evaluate(segment)
-                if result.shape[1] != operand.shape[0]:
-                    raise MetaStructureError(
-                        f"chain shape mismatch: {result.shape} @ {operand.shape} "
-                        f"in {key}"
-                    )
-                result = (result @ operand).tocsr()
+            result = _chain_product(
+                [self.evaluate(segment) for segment in expr.segments], key
+            )
+        elif isinstance(expr, Parallel) and all(
+            isinstance(branch, Chain) and len(branch.segments) == 2
+            for branch in expr.branches
+        ):
+            result = self._face_split(expr)
         elif isinstance(expr, Parallel):
             result = self.evaluate(expr.branches[0])
             for branch in expr.branches[1:]:
@@ -432,6 +551,45 @@ class CountingEngine:
         self._cache[key] = result
         self._deps[key] = frozenset(expr.leaves())
         return result
+
+    def _face_split(self, expr: Parallel) -> sparse.csr_matrix:
+        """A stack of two-segment products, its branch products unbuilt.
+
+        With branch ``i`` the product ``X_i @ Y_i``, the face-splitting
+        identity ``(X1 Y1) ∘ (X2 Y2) = (X1 • X2)(Y1ᵀ • Y2ᵀ)ᵀ``, ``•`` the
+        row-wise Kronecker product, counts the stack through one product
+        whose inner index runs over the value pairs both sides hold; more
+        branches fold in pairwise.  A post has one timestamp and one
+        location, so ``T1 • L1`` has at most one entry per row and the
+        stack costs about its own entry count, where the branch products
+        it replaces hold millions.  The factors are memoized like any
+        operand; the branch products are never built.
+        """
+        left = right = None
+        for branch in expr.branches:
+            first, second = branch.segments
+            x = self.evaluate(first)
+            # Y_iᵀ: a leaf's transpose is its bag matrix, not a copy.
+            y = (
+                self.evaluate(second.T)
+                if isinstance(second, Leaf)
+                else self.evaluate(second).transpose().tocsr()
+            )
+            if x.shape[1] != y.shape[1]:
+                raise MetaStructureError(
+                    f"chain shape mismatch: {x.shape} @ {y.shape[::-1]} "
+                    f"in {branch.key()}"
+                )
+            if left is None:
+                left, right = x, y
+                continue
+            if (x.shape[0], y.shape[0]) != (left.shape[0], right.shape[0]):
+                raise MetaStructureError(
+                    f"parallel shape mismatch: {(left.shape[0], right.shape[0])} "
+                    f"vs {(x.shape[0], y.shape[0])} in {expr.key()}"
+                )
+            left, right = _face_split_pair(left, right, x, y)
+        return (left @ right.T).tocsr()
 
     def _fold(
         self, key: str, base: sparse.csr_matrix, pending: sparse.csr_matrix

@@ -193,11 +193,9 @@ def apply_model_state(state: LinearModelState, X: np.ndarray) -> np.ndarray:
 def _stream_scores(source, state: LinearModelState) -> np.ndarray:
     """Whole-of-source scores for a model state, block by block.
 
-    A source offering ``linear_model_scores`` (the streamed task)
-    handles the sweep itself; anything else is scored inline.
+    Each raw feature block runs through :func:`apply_model_state`
+    (feature map, scaler, linear form).
     """
-    if hasattr(source, "linear_model_scores"):
-        return source.linear_model_scores(state)
     scores = np.empty(source.n_candidates, dtype=np.float64)
     for offset, X in source.feature_blocks():
         scores[offset: offset + X.shape[0]] = apply_model_state(state, X)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -45,8 +45,15 @@ __all__ = [
 ]
 
 
+#: Source of span and trace ids: a private generator, seeded from the
+#: OS once, so minting an id makes no system call and never touches the
+#: global ``random`` state a traced run must leave as an untraced one.
+_IDS = random.Random()
+
+
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """64 random bits as 16 hex digits."""
+    return f"{_IDS.getrandbits(64):016x}"
 
 
 class Span:
@@ -195,7 +202,7 @@ class Tracer:
             trace_id, parent_id = _new_id(), None
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
-        return Span(self, name, trace_id, parent_id, dict(attributes))
+        return Span(self, name, trace_id, parent_id, attributes)
 
     def current_span(self) -> Optional[Span]:
         stack = getattr(self._local, "stack", None)

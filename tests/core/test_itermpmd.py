@@ -179,8 +179,9 @@ class TestAlternatingState:
         state = AlternatingState.from_task(
             task, task.labeled_indices, task.labeled_values
         )
-        assert len(state.free_pairs) == task.n_candidates - task.labeled_indices.size
-        assert set(state.free_indices) == (
+        assert state.pairs is task.pairs
+        assert state.free.sum() == task.n_candidates - task.labeled_indices.size
+        assert set(np.flatnonzero(state.free)) == (
             set(range(task.n_candidates)) - set(task.labeled_indices.tolist())
         )
         for index, value in zip(task.labeled_indices, task.labeled_values):
@@ -197,7 +198,7 @@ class TestAlternatingState:
         state = AlternatingState.from_task(
             task, task.labeled_indices, task.labeled_values
         )
-        new_indices = np.array(sorted(set(state.free_indices[:4])), dtype=np.int64)
+        new_indices = np.flatnonzero(state.free)[:4]
         new_values = np.array(
             [1, 0, 1, 0][: new_indices.size], dtype=np.int64
         )
@@ -206,8 +207,8 @@ class TestAlternatingState:
         grown_indices = np.concatenate([task.labeled_indices, new_indices])
         grown_values = np.concatenate([task.labeled_values, new_values])
         rebuilt = AlternatingState.from_task(task, grown_indices, grown_values)
-        assert np.array_equal(state.free_indices, rebuilt.free_indices)
-        assert state.free_pairs == rebuilt.free_pairs
+        assert np.array_equal(state.free, rebuilt.free)
+        assert state.pairs is rebuilt.pairs
         assert state.blocked_left == rebuilt.blocked_left
         assert state.blocked_right == rebuilt.blocked_right
 
@@ -218,6 +219,8 @@ class TestAlternatingState:
         state = AlternatingState.from_task(
             task, task.labeled_indices, task.labeled_values
         )
-        free_before = state.free_indices.copy()
+        free_before = state.free.copy()
+        blocked_before = (set(state.blocked_left), set(state.blocked_right))
         state.clamp(task, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert np.array_equal(state.free_indices, free_before)
+        assert np.array_equal(state.free, free_before)
+        assert (state.blocked_left, state.blocked_right) == blocked_before

@@ -217,6 +217,40 @@ class TestStreamedSelection:
             else:
                 streamed_selection(generator, score)
 
+    def test_pool_built_from_a_count_is_closed(self, tiny_synthetic_pair):
+        """``workers=4`` builds a pool for the call and closes it, even
+        when the sweep raises; a passed-in executor stays open."""
+        import threading
+
+        generator = CandidateGenerator(tiny_synthetic_pair, block_size=50)
+
+        def nan_at_100(block):
+            scores = np.full(len(block), 0.9)
+            if block.offset == 100:
+                scores[0] = np.nan
+            return scores
+
+        baseline = threading.active_count()
+        for _ in range(3):
+            assert streamed_selection(
+                generator, lambda block: np.full(len(block), 0.9), workers=4
+            )
+            assert threading.active_count() == baseline
+        with pytest.raises(ConstraintViolationError):
+            streamed_selection(generator, nan_at_100, workers=4)
+        assert threading.active_count() == baseline
+        with ThreadedExecutor(2) as executor:
+            streamed_selection(
+                generator, lambda block: np.full(len(block), 0.9),
+                workers=executor,
+            )
+            assert threading.active_count() > baseline
+            assert streamed_selection(
+                generator, lambda block: np.full(len(block), 0.9),
+                workers=executor,
+            )
+        assert threading.active_count() == baseline
+
     def test_linear_scorer_validates_weights(self, handmade_pair):
         session = AlignmentSession(handmade_pair)
         with pytest.raises(AlignmentError):

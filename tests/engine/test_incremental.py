@@ -377,9 +377,15 @@ class TestNoAliasing:
                     produced[sub.key()] = (change, _csr_bytes(change))
         changes = [evaluator.evaluate(expr) for expr in exprs]
         updated = evaluator.updated_changes()
+        held = {}
         for expr, change in updated:
             assert produced[expr.key()][0] is change
-            assert engine.seed_change(expr, change)
+            held[expr.key()] = engine.components(expr) is not None
+            assert engine.seed_change(expr, change) == held[expr.key()]
+        # The branch products of a face-split stack are never held, so
+        # seeding them keeps nothing; every other product stays warm.
+        assert held.pop("(T1@T2^T)") is False
+        assert all(held.values())
         engine.update_matrices(
             new_bag, preserve=[expr.key() for expr, _ in updated]
         )
@@ -404,3 +410,126 @@ class TestNoAliasing:
                 old.evaluate(expr), change.shape
             )
             assert np.array_equal(change.toarray(), exact.toarray())
+
+
+def _face_split_branches(exprs):
+    """key -> branch of every stack of two-segment products."""
+    branches = {}
+    stack = list(exprs)
+    while stack:
+        expr = stack.pop()
+        children = getattr(expr, "segments", ()) + getattr(expr, "branches", ())
+        stack.extend(children)
+        if isinstance(expr, Parallel) and all(
+            isinstance(branch, Chain) and len(branch.segments) == 2
+            for branch in expr.branches
+        ):
+            branches.update((branch.key(), branch) for branch in expr.branches)
+    return branches
+
+
+def _shared_location_posts(pair, count=3):
+    """``(left post, right post)`` pairs sharing a location but not a
+    timestamp, with distinct left posts."""
+    right_by_location = {}
+    for post in pair.right.nodes("post"):
+        for value in pair.right.node_attributes("location", post):
+            right_by_location.setdefault(value, []).append(post)
+    found = []
+    for post in pair.left.nodes("post"):
+        times = set(pair.left.node_attributes("timestamp", post))
+        for value in pair.left.node_attributes("location", post):
+            match = next(
+                (
+                    other
+                    for other in right_by_location.get(value, [])
+                    if not times & set(pair.right.node_attributes("timestamp", other))
+                ),
+                None,
+            )
+            if match is not None:
+                found.append((post, match))
+                break
+        if len(found) == count:
+            break
+    assert len(found) == count, "fixture must share locations across sides"
+    return found
+
+
+class TestFaceSplitBranches:
+    """A churn event reads a face-split stack's branches at the rows its
+    delta touches; neither set-up nor the fold builds their products."""
+
+    @pytest.mark.parametrize("include_words", [False, True])
+    def test_churn_event_holds_no_branch_product(self, include_words):
+        import copy
+
+        from repro.datasets import foursquare_twitter_like
+        from repro.engine import AlignmentSession
+        from repro.networks.aligned import NetworkDelta
+
+        pair = foursquare_twitter_like("tiny", seed=11)
+        replica = copy.deepcopy(pair)
+        session = AlignmentSession(
+            pair,
+            known_anchors=sorted(pair.anchors, key=repr)[:5],
+            include_words=include_words,
+        )
+        session.structure_counts()
+        # Per side, three new posts that copy a post of the other side
+        # (its timestamp, location and words), and on the left three
+        # old posts that take the timestamp of a right post they share
+        # a location with: every stacked branch changes in several rows,
+        # and the unheld sibling is read where it holds counts.
+        attributes = ("timestamp", "location", "word")
+        sides = (("left", pair.left, pair.right), ("right", pair.right, pair.left))
+        for side, network, other in sides:
+            sources = [
+                post
+                for post in other.nodes("post")
+                if all(other.node_attributes(name, post) for name in attributes)
+            ][:3]
+            posts = [f"{side}:new{i}" for i in range(len(sources))]
+            retimed = _shared_location_posts(pair) if side == "left" else []
+            delta = NetworkDelta.build(
+                side,
+                added_nodes={"post": posts},
+                added_edges=[
+                    ("write", user, post)
+                    for user, post in zip(network.nodes("user"), posts)
+                ],
+                updated_attributes=[
+                    (name, post, value)
+                    for post, source in zip(posts, sources)
+                    for name in attributes
+                    for value in other.node_attributes(name, source)
+                ]
+                + [
+                    ("timestamp", post, value)
+                    for post, source in retimed
+                    for value in other.node_attributes("timestamp", source)
+                ],
+            )
+            assert session.apply_network_delta(delta)
+            replica.apply_delta(delta)
+        assert session.stats.fallback_invalidations == 0
+
+        branches = _face_split_branches(session.family.exprs)
+        expected = {"(L1@L2^T)", "(T1@T2^T)"}
+        if include_words:
+            expected |= {"(D1@D2^T)"}
+        assert set(branches) == expected
+        for key, branch in branches.items():
+            assert session._engine.components(branch) is None, key
+
+        pairs = [
+            (left, right)
+            for left in pair.left.nodes("user")
+            for right in pair.right.nodes("user")
+        ]
+        fresh = AlignmentSession(
+            replica,
+            known_anchors=session.known_anchors,
+            include_words=include_words,
+        )
+        assert session.extract(pairs).tobytes() == fresh.extract(pairs).tobytes()

@@ -464,7 +464,7 @@ class TestLabeledRowsAndModelScores:
     def test_linear_model_scores_inline_matches_manual(
         self, tiny_synthetic_pair
     ):
-        from repro.ml.backends import LinearModelState
+        from repro.ml.backends import LinearModelState, _stream_scores
 
         split = _split_for(tiny_synthetic_pair)
         session = AlignmentSession(
@@ -482,7 +482,7 @@ class TestLabeledRowsAndModelScores:
         state = LinearModelState(
             coef=rng.normal(size=task.n_features), intercept=-0.5
         )
-        scores = task.linear_model_scores(state)
+        scores = _stream_scores(task, state)
         manual = np.empty(task.n_candidates)
         for offset, block in task.feature_blocks():
             manual[offset: offset + block.shape[0]] = (

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.exceptions import MetaStructureError
@@ -311,3 +313,123 @@ class TestSeedChange:
         _assert_same_csr(
             engine.evaluate(stacked), CountingEngine(bags[-1]).evaluate(stacked)
         )
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the engine's cheapest forms (reassociated chains,
+# face-split stacks) against naive left-to-right evaluation.
+# ----------------------------------------------------------------------
+#: Node types of the generated bags; matrix ``Mab`` maps type a to b.
+_TYPES = range(4)
+
+
+@st.composite
+def _leaf_matrix(draw, rows, cols):
+    """A CSR leaf: one-hot rows (a post's timestamp), several values
+    per row (a post's words) or small integers, any of them with empty
+    rows and columns and explicitly stored zeros."""
+    kind = draw(st.sampled_from(["onehot", "wordlike", "integer"]))
+    values = np.zeros((rows, cols))
+    if cols:
+        for row in range(rows):
+            if kind == "onehot":
+                if draw(st.booleans()):
+                    values[row, draw(st.integers(0, cols - 1))] = 1.0
+            else:
+                picks = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+                for col in picks:
+                    values[row, col] = (
+                        1.0 if kind == "wordlike" else draw(st.integers(-2, 3))
+                    )
+    stored = values != 0
+    if rows and cols and draw(st.booleans()):
+        stored[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = True
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    return sparse.csr_matrix(
+        (values[stored], np.nonzero(stored)[1], indptr), shape=(rows, cols)
+    )
+
+
+def _operand(draw, a, b, depth):
+    """An expression valued ``(size a) x (size b)``."""
+    kinds = ["leaf"] if depth == 0 else ["leaf", "chain", "parallel", "stack"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        if draw(st.booleans()):
+            return Leaf(f"M{b}{a}", transpose=True)
+        return Leaf(f"M{a}{b}")
+    if kind == "chain":
+        inner = draw(st.lists(st.sampled_from(_TYPES), min_size=1, max_size=4))
+        ends = [a, *inner, b]
+        return Chain(
+            [_operand(draw, x, y, depth - 1) for x, y in zip(ends, ends[1:])]
+        )
+    if kind == "parallel":
+        count = draw(st.integers(2, 3))
+        return Parallel([_operand(draw, a, b, depth - 1) for _ in range(count)])
+    # A stack of two-segment products: the face-split form.
+    count = draw(st.integers(2, 3))
+    return Parallel(
+        [
+            Chain([_operand(draw, a, c, depth - 1), _operand(draw, c, b, depth - 1)])
+            for c in draw(
+                st.lists(st.sampled_from(_TYPES), min_size=count, max_size=count)
+            )
+        ]
+    )
+
+
+@st.composite
+def _expression_and_bag(draw):
+    sizes = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    bag = {
+        f"M{a}{b}": draw(_leaf_matrix(sizes[a], sizes[b]))
+        for a in _TYPES
+        for b in _TYPES
+    }
+    a, b = draw(st.sampled_from(_TYPES)), draw(st.sampled_from(_TYPES))
+    return _operand(draw, a, b, depth=draw(st.integers(1, 3))), bag
+
+
+def _nodes(expr):
+    yield expr
+    for child in getattr(expr, "segments", ()) + getattr(expr, "branches", ()):
+        yield from _nodes(child)
+
+
+def _canonical(matrix):
+    matrix = matrix.tocsr().copy()
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expression_and_bag())
+def test_engine_matches_naive_evaluation_byte_for_byte(case):
+    """Every node of a generated tree, evaluated by one engine (so the
+    nodes below it are memoized), holds the naive evaluation's bytes."""
+    expr, bag = case
+    engine = CountingEngine(bag)
+    engine.evaluate(expr)
+    for node in _nodes(expr):
+        actual = _canonical(engine.evaluate(node))
+        expected = _canonical(node.evaluate(bag))
+        assert actual.shape == expected.shape, node.key()
+        for part in ("indptr", "indices", "data"):
+            assert (
+                getattr(actual, part).tobytes()
+                == getattr(expected, part).tobytes()
+            ), (node.key(), part)
+
+
+def test_face_split_stack_keeps_no_branch_product(bag):
+    engine = CountingEngine(bag)
+    stack = Parallel(
+        [Chain([Leaf("B"), Leaf("C")]), Chain([Leaf("A"), Leaf("B", True)])]
+    )
+    expected = stack.evaluate(bag)
+    _assert_same_csr(engine.evaluate(stack), expected)
+    for branch in stack.branches:
+        assert engine.components(branch) is None

@@ -115,7 +115,11 @@ class TestModelScoreJob:
         """A full LinearModelState (feature map + scaler + coefficients)
         scores a store-backed task's blocks byte-identically to the
         inline kernel over an in-memory session's blocks."""
-        from repro.ml.backends import LinearModelState, apply_model_state
+        from repro.ml.backends import (
+            LinearModelState,
+            _stream_scores,
+            apply_model_state,
+        )
         from repro.ml.kernels import NystroemMap
         from repro.ml.scaling import StandardScaler
 
@@ -148,7 +152,7 @@ class TestModelScoreJob:
                 scaler_scale=scaler.scale_,
             )
             # Store-backed sweep ...
-            stored_scores = stored_task.linear_model_scores(state)
+            stored_scores = _stream_scores(stored_task, state)
             # ... vs the inline kernel over the in-memory blocks.
             inline = np.empty(memory_task.n_candidates)
             for offset, block in memory_task.feature_blocks():
