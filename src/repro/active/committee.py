@@ -13,7 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.active.strategies import _check_batch_size
+from repro.active.strategies import _check_batch_size, _ranked
 from repro.exceptions import ReproError
 from repro.ml.ridge import RidgeSolver
 from repro.types import LinkPair
@@ -90,8 +90,7 @@ class CommitteeQueryStrategy:
             member_scores[member] = X @ w
         disagreement = member_scores.std(axis=0)
         pool = np.flatnonzero(queryable)
-        ranked = sorted(pool, key=lambda index: (-disagreement[index], index))
-        return [int(index) for index in ranked[:batch_size]]
+        return _ranked(pool, -disagreement[pool], batch_size)
 
     def bind(self, X: np.ndarray) -> "CommitteeQueryStrategy":
         """Attach the task's feature matrix (required before selection)."""

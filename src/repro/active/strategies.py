@@ -17,7 +17,11 @@ negatives U−, the candidate set is
 margin ``ŷ_l − ŷ_l''`` (largest first) and the top ``k = 5`` are queried
 per round.  :class:`ConflictFalseNegativeStrategy` evaluates the rule
 with one vectorized kernel over per-user groups, for both the
-materialized and the streamed entry point.
+materialized and the streamed entry point.  The kernel reads integer
+user codes, built once per candidate list: the active loop passes the
+same list every round, so only its first query codes it.  A list must
+therefore not be mutated in place between calls; pass a new list
+instead.
 
 All strategies share one interface so models can swap them (the paper's
 ActiveIter-Rand variant, plus a classic margin/uncertainty strategy kept
@@ -27,7 +31,7 @@ for ablations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Protocol, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +46,10 @@ class ScoredBlock:
     The streamed selection API (:meth:`QueryStrategy.select_streamed`)
     consumes a stream of these instead of materialized whole-of-H
     arrays; ``offset`` is the block's starting position in the global
-    candidate order, so returned picks are global indices.
+    candidate order, so returned picks are global indices.  A stream's
+    offsets are at least 0 and never fall before the previous block's
+    end (``select_streamed`` raises :class:`~repro.exceptions.ReproError`
+    otherwise).
     """
 
     pairs: Sequence[LinkPair]
@@ -129,15 +136,71 @@ def _check_batch_size(batch_size: int) -> None:
         raise ReproError(f"batch_size must be >= 0, got {batch_size}")
 
 
-def _user_codes(users: Sequence[NodeId]) -> Tuple[np.ndarray, int]:
-    """Integer codes of ``users`` (first-seen order) and how many exist."""
+def _checked_blocks(blocks: Iterable[ScoredBlock]) -> Iterator[ScoredBlock]:
+    """Validate each block as it streams past.
+
+    A block must start at or after the previous block's end (and at or
+    after 0): an overlap would offer one candidate twice, and a negative
+    offset would name a position before the candidate list.
+    """
+    end = 0
+    for block in blocks:
+        if block.offset < end:
+            raise ReproError(
+                f"block offset {block.offset} starts before {end}: blocks "
+                "must not start below 0 or overlap the previous block"
+            )
+        _validate_inputs(block.pairs, block.scores, block.labels, block.queryable)
+        end = block.offset + len(block.pairs)
+        yield block
+
+
+def _ranked(indices: np.ndarray, keys: np.ndarray, batch_size: int) -> List[int]:
+    """The ``batch_size`` indices with the smallest keys, ties by index."""
+    return indices[np.lexsort((indices, keys))][:batch_size].tolist()
+
+
+def _user_codes(users: Sequence[NodeId]) -> np.ndarray:
+    """Integer codes of ``users``, in first-seen order."""
     index = {user: code for code, user in enumerate(dict.fromkeys(users))}
-    codes = np.fromiter(map(index.__getitem__, users), dtype=np.intp, count=len(users))
-    return codes, len(index)
+    return np.fromiter(map(index.__getitem__, users), dtype=np.intp, count=len(users))
+
+
+@dataclass(frozen=True)
+class _CandidateCodes:
+    """The left and right user codes of one candidate list.
+
+    ``lists`` are the list objects the codes were built from (the pairs
+    of a ``select`` call, or each block's pairs of a streamed pass),
+    held so that no id can be recycled; ``lengths`` catch an append.
+    """
+
+    lists: Tuple[Sequence[LinkPair], ...]
+    lengths: Tuple[int, ...]
+    left: np.ndarray
+    right: np.ndarray
+
+    @classmethod
+    def build(cls, lists: Tuple[Sequence[LinkPair], ...]) -> "_CandidateCodes":
+        pairs = lists[0] if len(lists) == 1 else [p for part in lists for p in part]
+        return cls(
+            lists,
+            tuple(map(len, lists)),
+            _user_codes([pair[0] for pair in pairs]),
+            _user_codes([pair[1] for pair in pairs]),
+        )
+
+    def matches(self, lists: Tuple[Sequence[LinkPair], ...]) -> bool:
+        """Whether ``lists`` are the same objects, at the same lengths."""
+        return len(lists) == len(self.lists) and all(
+            new is old and len(new) == length
+            for new, old, length in zip(lists, self.lists, self.lengths)
+        )
 
 
 def _conflict_picks(
-    pairs: Sequence[LinkPair],
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
     scores: np.ndarray,
     labels: np.ndarray,
     queryable: np.ndarray,
@@ -156,14 +219,16 @@ def _conflict_picks(
     this is bitwise the maximum over the group), and the near-miss test
     expands each negative against the positives of its two groups —
     at most one each under one-to-one labels, exact for any labels.
+    The groups are read off ``left_codes`` and ``right_codes``, the
+    candidates' users as integer codes.
     """
     negatives = np.flatnonzero(queryable & (labels == 0))
     positives = np.flatnonzero(labels == 1)
     negative_scores = scores[negatives]
     lowest = np.full(negatives.size, np.inf)
     near_miss = np.zeros(negatives.size, dtype=bool)
-    for side in (0, 1):
-        codes, n_users = _user_codes([pair[side] for pair in pairs])
+    for codes in (left_codes, right_codes):
+        n_users = int(codes.max()) + 1 if codes.size else 0
         positive_codes = codes[positives]
         negative_codes = codes[negatives]
         lowest_by_user = np.full(n_users, np.inf)
@@ -182,16 +247,14 @@ def _conflict_picks(
         near_miss[owner[close]] = True
     dominance = negative_scores - lowest
     ranked = np.flatnonzero(near_miss & (dominance > 0))
-    ranked_indices = indices[negatives[ranked]]
-    order = np.lexsort((ranked_indices, -dominance[ranked]))
-    picks = ranked_indices[order][:batch_size].tolist()
+    picks = _ranked(indices[negatives[ranked]], -dominance[ranked], batch_size)
 
     if len(picks) < batch_size and allow_fallback:
         pool = indices[negatives]
         rest = ~np.isin(pool, picks)
-        pool, pool_scores = pool[rest], negative_scores[rest]
-        order = np.lexsort((pool, -pool_scores))
-        picks.extend(pool[order][: batch_size - len(picks)].tolist())
+        picks.extend(
+            _ranked(pool[rest], -negative_scores[rest], batch_size - len(picks))
+        )
     return picks
 
 
@@ -200,7 +263,11 @@ class ConflictFalseNegativeStrategy:
 
     :meth:`select` and :meth:`select_streamed` run one vectorized kernel
     over the whole candidate space, so their picks are identical by
-    construction.
+    construction.  The kernel reads the candidates' users as integer
+    codes, built on the first call with a candidate list and reused
+    while later calls pass the same list object (for a streamed pass,
+    the same block lists) at the same length.  Mutating a list in place
+    between calls would leave stale codes: pass a new list instead.
 
     Parameters
     ----------
@@ -221,6 +288,16 @@ class ConflictFalseNegativeStrategy:
             raise ReproError("closeness_threshold must be >= 0")
         self.closeness_threshold = float(closeness_threshold)
         self.allow_fallback = bool(allow_fallback)
+        self._codes: Optional[_CandidateCodes] = None
+
+    def _codes_for(
+        self, lists: Tuple[Sequence[LinkPair], ...]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Left and right user codes of the concatenated ``lists``."""
+        codes = self._codes
+        if codes is None or not codes.matches(lists):
+            codes = self._codes = _CandidateCodes.build(lists)
+        return codes.left, codes.right
 
     def select(
         self,
@@ -233,7 +310,7 @@ class ConflictFalseNegativeStrategy:
         _check_batch_size(batch_size)
         _validate_inputs(pairs, scores, labels, queryable)
         return _conflict_picks(
-            pairs,
+            *self._codes_for((pairs,)),
             np.asarray(scores, dtype=np.float64).ravel(),
             np.asarray(labels).ravel(),
             np.asarray(queryable, dtype=bool).ravel(),
@@ -249,22 +326,22 @@ class ConflictFalseNegativeStrategy:
         """Blockwise :meth:`select` — identical picks, one pass over H.
 
         A negative may conflict with a positive in any block, so the
-        pass buffers the pairs and O(|H|) scalars (score, label,
-        queryable flag, global index) — never a feature matrix — and
-        ranks the concatenation with the same kernel as :meth:`select`.
-        Ties break by global index ``block.offset + position``.
+        pass buffers O(|H|) scalars (score, label, queryable flag,
+        global index) — never a feature matrix — and ranks their
+        concatenation with the same kernel as :meth:`select`.  The
+        user codes are keyed on the blocks' pairs lists, which a
+        streamed task passes unchanged every round, so the pairs are
+        concatenated only when those lists change.  Ties break by
+        global index ``block.offset + position``.
         """
         _check_batch_size(batch_size)
-        pairs: List[LinkPair] = []
+        lists: List[Sequence[LinkPair]] = []
         scores: List[np.ndarray] = []
         labels: List[np.ndarray] = []
         queryable: List[np.ndarray] = []
         indices: List[np.ndarray] = []
-        for block in blocks:
-            _validate_inputs(
-                block.pairs, block.scores, block.labels, block.queryable
-            )
-            pairs.extend(block.pairs)
+        for block in _checked_blocks(blocks):
+            lists.append(block.pairs)
             scores.append(np.asarray(block.scores, dtype=np.float64).ravel())
             labels.append(np.asarray(block.labels).ravel())
             queryable.append(np.asarray(block.queryable, dtype=bool).ravel())
@@ -272,7 +349,7 @@ class ConflictFalseNegativeStrategy:
         if not indices:
             return []
         return _conflict_picks(
-            pairs,
+            *self._codes_for(tuple(lists)),
             np.concatenate(scores),
             np.concatenate(labels),
             np.concatenate(queryable),
@@ -326,10 +403,7 @@ class RandomQueryStrategy:
         """Blockwise :meth:`select` — same RNG draws, identical picks."""
         _check_batch_size(batch_size)
         pools: List[np.ndarray] = []
-        for block in blocks:
-            _validate_inputs(
-                block.pairs, block.scores, block.labels, block.queryable
-            )
+        for block in _checked_blocks(blocks):
             pool = np.flatnonzero(
                 np.asarray(block.queryable, dtype=bool).ravel()
             )
@@ -364,10 +438,7 @@ class MarginQueryStrategy:
         _validate_inputs(pairs, scores, labels, queryable)
         scores = np.asarray(scores, dtype=np.float64).ravel()
         pool = np.flatnonzero(np.asarray(queryable, dtype=bool).ravel())
-        ranked = sorted(
-            pool, key=lambda index: (abs(scores[index] - self.boundary), index)
-        )
-        return [int(index) for index in ranked[:batch_size]]
+        return _ranked(pool, np.abs(scores[pool] - self.boundary), batch_size)
 
     def select_streamed(
         self, blocks: Iterable[ScoredBlock], batch_size: int
@@ -375,27 +446,24 @@ class MarginQueryStrategy:
         """Blockwise :meth:`select` via an exact running top-k merge.
 
         Any global top-``k`` element is inside its own block's top-``k``
-        (margins are per-candidate), so merging each block's best ``k``
-        into a running best-``k`` list reproduces the global ranking —
-        ties broken by global index, exactly like :meth:`select`.
+        (margins are per-candidate), so ranking each block together with
+        the running best ``k`` reproduces the global ranking — ties
+        broken by global index, exactly like :meth:`select`.
         """
         _check_batch_size(batch_size)
         if batch_size == 0:
             return []
-        best: List[Tuple[float, int]] = []
-        for block in blocks:
-            _validate_inputs(
-                block.pairs, block.scores, block.labels, block.queryable
-            )
+        best = np.empty(0, dtype=np.intp)
+        best_margins = np.empty(0)
+        for block in _checked_blocks(blocks):
             scores = np.asarray(block.scores, dtype=np.float64).ravel()
             pool = np.flatnonzero(
                 np.asarray(block.queryable, dtype=bool).ravel()
             )
-            if not pool.size:
-                continue
-            block_ranked = sorted(
-                (abs(scores[index] - self.boundary), block.offset + int(index))
-                for index in pool
+            indices = np.concatenate([best, block.offset + pool])
+            margins = np.concatenate(
+                [best_margins, np.abs(scores[pool] - self.boundary)]
             )
-            best = sorted(best + block_ranked[:batch_size])[:batch_size]
-        return [index for _, index in best]
+            top = np.lexsort((indices, margins))[:batch_size]
+            best, best_margins = indices[top], margins[top]
+        return best.tolist()

@@ -403,8 +403,8 @@ class ActiveIter(IterMPMD):
                 if self.oracle.remaining <= 0:
                     break
 
-                queryable = np.ones(task.n_candidates, dtype=bool)
-                queryable[clamped_indices] = False
+                # The free candidates are exactly the unclamped ones.
+                queryable = state.free.copy()
                 batch = min(self.batch_size, self.oracle.remaining)
                 with tracer.span("active.select"):
                     if streamed and hasattr(self.strategy, "select_streamed"):

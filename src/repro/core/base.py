@@ -60,11 +60,12 @@ class AlignmentTask:
                 self.pairs
             ):
                 raise ModelError("labeled index out of range")
-            if len(set(self.labeled_indices.tolist())) != self.labeled_indices.size:
+            if np.bincount(self.labeled_indices).max() > 1:
                 raise ModelError("labeled indices contain duplicates")
-        bad = set(np.unique(self.labeled_values).tolist()) - {0, 1}
-        if bad:
-            raise ModelError(f"labels must be 0/1, got {sorted(bad)}")
+        values = self.labeled_values
+        bad = values[(values != 0) & (values != 1)]
+        if bad.size:
+            raise ModelError(f"labels must be 0/1, got {np.unique(bad).tolist()}")
 
     @property
     def n_candidates(self) -> int:

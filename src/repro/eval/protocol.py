@@ -89,7 +89,7 @@ class ExperimentSplit:
     @property
     def train_pairs(self) -> List[LinkPair]:
         """Training candidate links."""
-        return [self.candidates[i] for i in self.train_indices]
+        return [self.candidates[i] for i in self.train_indices.tolist()]
 
     @property
     def train_labels(self) -> np.ndarray:
@@ -99,11 +99,8 @@ class ExperimentSplit:
     @property
     def train_positive_pairs(self) -> List[LinkPair]:
         """Known positive links — the anchors visible to models."""
-        return [
-            self.candidates[i]
-            for i in self.train_indices
-            if self.truth[i] == 1
-        ]
+        positives = self.train_indices[self.truth[self.train_indices] == 1]
+        return [self.candidates[i] for i in positives.tolist()]
 
 
 def sample_negatives(

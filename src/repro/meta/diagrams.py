@@ -33,6 +33,7 @@ C(Ψi) ⊆ C(Ψj) ⇒ support(Ψj) ⊆ support(Ψi)  (Lemma 2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, List, Sequence, Tuple
@@ -212,12 +213,14 @@ class DiagramFamily:
         return DiagramFamily(paths=self.paths, diagrams=())
 
 
+@functools.cache
 def standard_diagram_family(include_words: bool = False) -> DiagramFamily:
     """Build Φ = P ∪ Ψ_f² ∪ Ψ_a² ∪ Ψ_f,a ∪ Ψ_f,a² ∪ Ψ_f²,a².
 
     With the paper's six paths this yields 6 paths + 25 diagrams = 31
     features; ``include_words`` adds P7 and enlarges the attribute
-    stackings accordingly.
+    stackings accordingly.  The family is immutable, so it is built
+    once per ``include_words`` and shared by every caller.
     """
     return build_diagram_family(standard_paths(include_words=include_words))
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.active.committee import CommitteeQueryStrategy
 from repro.exceptions import ReproError
+from repro.ml.ridge import RidgeSolver
 
 PAIRS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
 
@@ -146,3 +149,57 @@ class TestCommitteeQueryStrategy:
         assert resumed.queried_ == reference.queried_
         assert np.array_equal(resumed.labels_, reference.labels_)
         assert np.array_equal(resumed.scores_, reference.scores_)
+
+
+def _sorted_committee_picks(strategy, X, labels, queryable, batch_size):
+    """The committee's pick rule as first written: the same bootstrap
+    fits, ranked by a Python sort on ``(-disagreement, index)``."""
+    rng = np.random.default_rng(strategy.seed + strategy._round)
+    n = X.shape[0]
+    member_scores = np.zeros((strategy.n_members, n))
+    for member in range(strategy.n_members):
+        sample = rng.integers(0, n, size=n)
+        w = RidgeSolver(X[sample], c=strategy.c).solve(labels[sample])
+        member_scores[member] = X @ w
+    disagreement = member_scores.std(axis=0)
+    pool = np.flatnonzero(queryable)
+    ranked = sorted(pool, key=lambda index: (-disagreement[index], index))
+    return [int(index) for index in ranked[:batch_size]]
+
+
+#: Rows a test matrix is made of: all-zero rows have zero disagreement
+#: (a key of -0.0), and a repeated fixed row ties with its copies.
+FIXED_ROWS = {
+    "zero": np.zeros(3),
+    "a": np.array([1.0, 0.5, -1.0]),
+    "b": np.array([0.25, 2.0, 0.0]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.sampled_from([*FIXED_ROWS, "random"]), min_size=1, max_size=10
+    ),
+    labels=st.lists(st.sampled_from([0.0, 1.0]), min_size=10, max_size=10),
+    queryable=st.lists(st.booleans(), min_size=10, max_size=10),
+    batch_size=st.integers(0, 11),
+    seed=st.integers(0, 3),
+)
+def test_ranking_matches_sorted_reference(
+    rows, labels, queryable, batch_size, seed
+):
+    """Zero and tied disagreements break by index, as the sorted
+    ranking did."""
+    rng = np.random.default_rng(seed)
+    X = np.array(
+        [FIXED_ROWS[row] if row in FIXED_ROWS else rng.normal(size=3) for row in rows]
+    )
+    n = len(rows)
+    labels = np.array(labels[:n])
+    queryable = np.array(queryable[:n], dtype=bool)
+    pairs = [(f"l{i}", f"r{i}") for i in range(n)]
+    strategy = CommitteeQueryStrategy(n_members=3, seed=seed).bind(X)
+    expected = _sorted_committee_picks(strategy, X, labels, queryable, batch_size)
+    picks = strategy.select(pairs, np.zeros(n), labels, queryable, batch_size)
+    assert picks == expected

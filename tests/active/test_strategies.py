@@ -198,6 +198,74 @@ def test_conflict_selection_matches_paper_rule(problem):
     assert strategy.select_streamed(blocks, batch_size) == expected
 
 
+def _scored_blocks(chops, scores, labels, queryable):
+    """ScoredBlocks over ``(offset, pairs part)`` chops of one list."""
+    return [
+        ScoredBlock(
+            pairs=part,
+            scores=scores[offset:offset + len(part)],
+            labels=labels[offset:offset + len(part)],
+            queryable=queryable[offset:offset + len(part)],
+            offset=offset,
+        )
+        for offset, part in chops
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conflict_codes_follow_the_candidate_list(data):
+    """One strategy over a run of calls picks what the plain rule picks.
+
+    The calls reuse one list with new scores, labels and masks; switch
+    to a new list object of the same length with other users (whose
+    codes must not be the old list's); and stream over block lists that
+    are either reused or re-chopped.
+    """
+    n = data.draw(st.integers(0, 12), label="n")
+    tau = data.draw(st.sampled_from([0.0, 0.05, 0.25, 0.5]), label="tau")
+    fallback = data.draw(st.booleans(), label="fallback")
+    strategy = ConflictFalseNegativeStrategy(tau, fallback)
+    users = st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n
+    )
+
+    def new_list():
+        return [(f"l{left}", f"r{right}") for left, right in data.draw(users)]
+
+    def chop(pairs):
+        bounds = sorted(set(data.draw(st.lists(st.integers(0, n)))) | {0, n})
+        return [(start, pairs[start:end]) for start, end in zip(bounds, bounds[1:])]
+
+    def column(elements):
+        return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+    pairs = new_list()
+    chops = chop(pairs)
+    for _ in range(data.draw(st.integers(1, 6), label="calls")):
+        action = data.draw(st.sampled_from(["reuse", "new list", "re-chop"]))
+        if action == "new list":
+            pairs = new_list()
+            chops = chop(pairs)
+        elif action == "re-chop":
+            chops = chop(pairs)
+        scores = np.array(
+            column(st.integers(-4, 4).map(lambda k: k * 0.25)), dtype=np.float64
+        )
+        labels = np.array(column(st.sampled_from([0, 1])), dtype=np.int64)
+        queryable = np.array(column(st.booleans()), dtype=bool)
+        batch_size = data.draw(st.sampled_from([0, 1, 2, n + 1]))
+        expected = _paper_rule(
+            pairs, scores, labels, queryable, batch_size, tau, fallback
+        )
+        if data.draw(st.booleans(), label="streamed"):
+            blocks = _scored_blocks(chops, scores, labels, queryable)
+            assert strategy.select_streamed(blocks, batch_size) == expected
+        else:
+            picks = strategy.select(pairs, scores, labels, queryable, batch_size)
+            assert picks == expected
+
+
 class TestRandomStrategy:
     def test_picks_only_queryable(self):
         strategy = RandomQueryStrategy(seed=0)
@@ -346,3 +414,73 @@ def test_negative_batch_size_rejected(make_strategy, streamed):
     assert select(0) == []
     with pytest.raises(ReproError, match="batch_size"):
         select(-1)
+
+
+def _sorted_ranking(pool, keys, batch_size):
+    """Rank the way the strategies did before: a Python sort on tuples."""
+    return [int(i) for i in sorted(pool, key=lambda i: (keys[i], i))[:batch_size]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.lists(st.integers(-4, 4), max_size=14),
+    boundary=st.sampled_from([0.0, -0.0, 0.5, 0.25]),
+    queryable=st.lists(st.booleans(), min_size=14, max_size=14),
+    batch_size=st.integers(0, 15),
+    bounds=st.sets(st.integers(0, 14)),
+)
+def test_margin_ranking_matches_sorted_reference(
+    grid, boundary, queryable, batch_size, bounds
+):
+    """Tied margins (a dyadic grid, ±0.0 scores) break by index."""
+    n = len(grid)
+    # Zero scores alternate between 0.0 and -0.0.
+    scores = np.array([k * 0.25 for k in grid], dtype=np.float64)
+    scores[(scores == 0) & (np.arange(n) % 2 == 1)] = -0.0
+    mask = np.array(queryable[:n], dtype=bool)
+    pool = np.flatnonzero(mask)
+    expected = _sorted_ranking(pool, np.abs(scores - boundary), batch_size)
+    strategy = MarginQueryStrategy(boundary=boundary)
+    pairs = [(f"l{i}", f"r{i}") for i in range(n)]
+    labels = np.zeros(n, dtype=np.int64)
+    assert strategy.select(pairs, scores, labels, mask, batch_size) == expected
+    cuts = sorted({b for b in bounds if b <= n} | {0, n})
+    chops = [(start, pairs[start:end]) for start, end in zip(cuts, cuts[1:])]
+    blocks = _scored_blocks(chops, scores, labels, mask)
+    assert strategy.select_streamed(blocks, batch_size) == expected
+
+
+def _block(offset, size=2):
+    return ScoredBlock(
+        pairs=PAIRS[:size],
+        scores=np.array([0.9, 0.4, 0.45, 0.2])[:size],
+        labels=np.array([1, 0, 0, 0])[:size],
+        queryable=np.ones(size, dtype=bool),
+        offset=offset,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_strategy",
+    [ConflictFalseNegativeStrategy, RandomQueryStrategy, MarginQueryStrategy],
+    ids=["conflict", "random", "margin"],
+)
+@pytest.mark.parametrize(
+    "offsets", [(0, 0), (0, 1), (-2,)], ids=["same-start", "overlap", "negative"]
+)
+def test_overlapping_or_negative_offsets_rejected(make_strategy, offsets):
+    """One candidate offered twice, or a position before the list,
+    would be queried twice or read from the list's end."""
+    blocks = [_block(offset) for offset in offsets]
+    with pytest.raises(ReproError, match=f"block offset {offsets[-1]} "):
+        make_strategy().select_streamed(blocks, 4)
+
+
+@pytest.mark.parametrize(
+    "make_strategy",
+    [ConflictFalseNegativeStrategy, RandomQueryStrategy, MarginQueryStrategy],
+    ids=["conflict", "random", "margin"],
+)
+def test_gap_between_blocks_accepted(make_strategy):
+    picks = make_strategy().select_streamed([_block(0), _block(5)], 4)
+    assert set(picks) <= {0, 1, 5, 6}

@@ -184,6 +184,9 @@ class TestAlternatingState:
         assert set(np.flatnonzero(state.free)) == (
             set(range(task.n_candidates)) - set(task.labeled_indices.tolist())
         )
+        assert sorted(state.clamped.tolist()) == sorted(
+            task.labeled_indices.tolist()
+        )
         for index, value in zip(task.labeled_indices, task.labeled_values):
             if value == 1:
                 left_user, right_user = task.pairs[index]
@@ -208,9 +211,22 @@ class TestAlternatingState:
         grown_values = np.concatenate([task.labeled_values, new_values])
         rebuilt = AlternatingState.from_task(task, grown_indices, grown_values)
         assert np.array_equal(state.free, rebuilt.free)
+        assert np.array_equal(state.clamped, rebuilt.clamped)
         assert state.pairs is rebuilt.pairs
         assert state.blocked_left == rebuilt.blocked_left
         assert state.blocked_right == rebuilt.blocked_right
+
+    def test_clamp_lists_each_position_once(self, tiny_synthetic_pair):
+        """Clamping an already clamped position again changes nothing."""
+        from repro.core.itermpmd import AlternatingState
+
+        task, _ = _synthetic_task(tiny_synthetic_pair)
+        state = AlternatingState.from_task(
+            task, task.labeled_indices, task.labeled_values
+        )
+        state.clamp(task, task.labeled_indices[:3], task.labeled_values[:3])
+        assert state.clamped.size == np.count_nonzero(~state.free)
+        assert set(state.clamped.tolist()) == set(np.flatnonzero(~state.free))
 
     def test_clamp_empty_is_noop(self, tiny_synthetic_pair):
         from repro.core.itermpmd import AlternatingState
@@ -220,7 +236,9 @@ class TestAlternatingState:
             task, task.labeled_indices, task.labeled_values
         )
         free_before = state.free.copy()
+        clamped_before = state.clamped.copy()
         blocked_before = (set(state.blocked_left), set(state.blocked_right))
         state.clamp(task, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert np.array_equal(state.free, free_before)
+        assert np.array_equal(state.clamped, clamped_before)
         assert (state.blocked_left, state.blocked_right) == blocked_before

@@ -282,6 +282,32 @@ class TestStreamedFitEquivalence:
         assert np.array_equal(streamed.labels_, materialized.labels_)
         assert streamed.result_.n_rounds == materialized.result_.n_rounds
 
+    @pytest.mark.parametrize("streamed", [False, True], ids=["dense", "streamed"])
+    def test_conflict_codes_each_side_once_per_fit(
+        self, tiny_synthetic_pair, monkeypatch, streamed
+    ):
+        """Every round passes the same candidate list (or block lists),
+        so a fit codes each side of it once, not once per round."""
+        from repro.active import strategies
+
+        coded = []
+        user_codes = strategies._user_codes
+
+        def counted(users):
+            coded.append(len(users))
+            return user_codes(users)
+
+        monkeypatch.setattr(strategies, "_user_codes", counted)
+        split = _split_for(tiny_synthetic_pair)
+        model = self._fit(
+            tiny_synthetic_pair,
+            split,
+            streamed=streamed,
+            strategy=ConflictFalseNegativeStrategy(),
+        )
+        assert model.result_.n_rounds >= 3
+        assert coded == [len(split.candidates)] * 2
+
     def test_single_block_bitwise_identical(self, tiny_synthetic_pair):
         """One block reproduces the materialized arithmetic exactly."""
         pair = tiny_synthetic_pair
